@@ -113,9 +113,10 @@ impl CacheOutcome {
 /// LRU is implemented with a monotone access clock per block and a
 /// min-scan eviction over a `HashMap`; eviction is rare relative to
 /// access in the simulated workloads, and an O(n) scan on eviction keeps
-/// the structure simple. For the figure-scale workloads the cache is
-/// large (32 Ki blocks), so a heap-based variant is provided through the
-/// same interface if profiles ever show this hot.
+/// the structure simple. There is no faster LRU variant: at figure
+/// scale the cache is large (32 Ki blocks), so each LRU eviction scans
+/// up to that many entries. The CLOCK policy ([`CachePolicy::Clock`])
+/// sweeps a ring of resident blocks instead of scanning for the oldest.
 #[derive(Debug, Clone)]
 pub struct BufferCache {
     config: CacheConfig,

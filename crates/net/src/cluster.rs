@@ -33,9 +33,8 @@
 //! unreadable). Servers echo the real request id on error responses
 //! whenever the fixed header is parsable ([`pvfs_proto::decode_frame_id`]),
 //! even if the body is corrupt. Clients verify that every response id
-//! matches the request that awaited it; on the multi-request
-//! [`ClusterClient::round`] path an id-0 response is a hard protocol
-//! error (it could belong to *any* in-flight request). Every receive
+//! matches the request that awaited it, and reject an id-0 response as
+//! a protocol error naming the daemon and request. Every receive
 //! carries a deadline ([`ClusterClient::with_rpc_timeout`], default
 //! [`DEFAULT_RPC_TIMEOUT`]) that bounds the **total** elapsed time of
 //! the RPC — a TCP response dribbling in over many partial reads is
@@ -48,7 +47,7 @@ use pvfs_proto::{
     decode_response, encode_message_traced, encode_response, frame_is_stats_scrape, Message,
     OpClass, Request, Response,
 };
-use pvfs_replica::{ReplicaMap, ReplicaPolicy, ReplicaTarget};
+use pvfs_replica::{ReplicaMap, ReplicaPolicy};
 use pvfs_server::{IoDaemon, IodConfig, Manager, ServerStats};
 use pvfs_types::trace::now_ns;
 use pvfs_types::{
@@ -56,13 +55,14 @@ use pvfs_types::{
     StripeLayout, TraceContext, TraceId, TraceMode, TraceTree,
 };
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::chan::{bounded, RecvTimeoutError, Sender};
+use crate::chan::{bounded, Sender};
 use crate::fault::{FaultPlan, FaultyTransport};
 use crate::gate::SerialGate;
 use crate::health::{BreakerPolicy, BreakerState, HealthTracker, HedgePolicy};
@@ -72,7 +72,8 @@ use crate::retry::{AtomicClientStats, Backoff, ClientStats, RetryPolicy};
 use crate::tcp::{TcpCluster, TcpTransport};
 use crate::trace::{ActiveTrace, Tracer};
 use crate::transport::{
-    serve_frame, ChanTransport, NodeMsg, RpcTarget, Transport, TransportKind, WaitError,
+    serve_frame, ChanTransport, NodeMsg, PendingReply, RpcTarget, Transport, TransportKind,
+    WaitError,
 };
 
 /// Default deadline for one RPC before the client reports
@@ -671,7 +672,9 @@ impl ClusterClient {
         Ok((id, frame))
     }
 
-    /// One synchronous RPC. Errors returned by the server come back as
+    /// One synchronous RPC: a single sub-op aimed at exactly `target`,
+    /// never expanded across replicas (`PvfsFile` and `scrub` aim calls
+    /// at specific copies). Errors returned by the server come back as
     /// `Err`; no reply within the deadline is [`PvfsError::Timeout`].
     ///
     /// Transient failures ([`PvfsError::is_retryable`]) are retried
@@ -682,7 +685,8 @@ impl ClusterClient {
     /// e.g. a server-side shed): replaying an op that never ran cannot
     /// duplicate its effect. Backoff sleeps are clamped to the
     /// remaining per-op budget, so the error surfaces at the budget
-    /// boundary instead of after one last full-length sleep.
+    /// boundary instead of after one last full-length sleep. Read-class
+    /// calls to a daemon are hedged under an enabled [`HedgePolicy`].
     pub fn call(&self, target: RpcTarget, request: Request) -> PvfsResult<Response> {
         // Control scrapes are never traced: tracing the collection of
         // traces would perturb the very rings being observed.
@@ -691,355 +695,31 @@ impl ClusterClient {
         } else {
             self.tracer.begin("call")
         };
-        let result = self.call_traced(target, request, active.as_ref());
+        let hedge_after = match target {
+            RpcTarget::Server(_) if self.hedge.enabled && request.op_class() == OpClass::Read => {
+                let snap = self.latency.snapshot(target, OpClass::Read);
+                let observed = (snap.count() > 0)
+                    .then(|| Duration::from_nanos(snap.percentile_ns(self.hedge.percentile)));
+                Some(self.hedge.delay(observed).min(self.rpc_timeout))
+            }
+            _ => None,
+        };
+        let sub = SubOp {
+            hedge_after,
+            ..SubOp::new(target, request)
+        };
+        let result = self
+            .run(vec![sub], &[(0..1, 1)], active.as_ref())
+            .map(|mut replies| replies.pop().flatten().expect("a met quorum has a reply"));
         if let Some(a) = active {
             self.tracer.finish(a);
         }
         result
     }
 
-    fn call_traced(
-        &self,
-        target: RpcTarget,
-        request: Request,
-        trace: Option<&ActiveTrace>,
-    ) -> PvfsResult<Response> {
-        let started = Instant::now();
-        let mut backoff: Option<Backoff> = None;
-        let mut attempt = 1u32;
-        // Control scrapes stay off the books on this side of the wire
-        // too (the daemons already exclude them): scraping `stats` or a
-        // trace must not advance the very counters being read.
-        let scrape = request.is_control_scrape();
-        loop {
-            if !scrape {
-                self.stats.record_attempts(1);
-            }
-            let err = match self.call_once(target, request.clone(), trace.map(|a| (a, attempt))) {
-                Ok(response) => return Ok(response),
-                Err(e) => e,
-            };
-            let replayable = request.is_idempotent() || err.is_definitely_not_executed();
-            if !err.is_retryable()
-                || !replayable
-                || attempt >= self.retry.max_attempts
-                || started.elapsed() >= self.retry.budget
-            {
-                return Err(err);
-            }
-            let delay = backoff
-                .get_or_insert_with(|| self.new_backoff())
-                .next_delay()
-                .min(self.retry.budget.saturating_sub(started.elapsed()));
-            if !scrape {
-                self.stats.record_retries(1, delay);
-            }
-            std::thread::sleep(delay);
-            attempt += 1;
-        }
-    }
-
-    /// One attempt of one RPC: breaker admission, ship, wait, decode,
-    /// attribute, and feed the outcome back to the failure detector.
-    /// With a trace attached, the attempt records an `rpc:<op>` span
-    /// (noted `retry#n` past the first attempt) with `send`/`recv`
-    /// children, and stamps its context into the frame so server-side
-    /// spans parent under the attempt.
-    fn call_once(
-        &self,
-        target: RpcTarget,
-        request: Request,
-        trace: Option<(&ActiveTrace, u32)>,
-    ) -> PvfsResult<Response> {
-        if let RpcTarget::Server(server) = target {
-            // An open breaker fails fast before touching the wire; the
-            // manager is never gated (metadata is rare and precious).
-            if let Err(e) = self.health.admit(server) {
-                self.stats.record_breaker_rejection();
-                return Err(e);
-            }
-            if self.hedge.enabled && request.op_class() == OpClass::Read {
-                return self.call_hedged(server, request, trace);
-            }
-        }
-        let class = request.op_class();
-        let op = request.op_name();
-        let shipped_at = Instant::now();
-        let rpc_span = trace.map(|(a, attempt)| (a, SpanId::next(), now_ns(), attempt));
-        let ctx = rpc_span.as_ref().map(|(a, sid, _, _)| a.ctx(*sid));
-        let (id, frame) = self.encode(request, ctx)?;
-        let outcome = self.transport.start(target, frame).and_then(|pending| {
-            if let Some((a, sid, sent_ns, _)) = &rpc_span {
-                a.span(*sid, "send", *sent_ns, Vec::new());
-            }
-            let recv_ns = now_ns();
-            let reply = self.await_reply(target, id, pending);
-            if let Some((a, sid, _, _)) = &rpc_span {
-                a.span(*sid, "recv", recv_ns, Vec::new());
-            }
-            reply
-        });
-        if let Some((a, sid, start_ns, attempt)) = rpc_span {
-            let notes = if attempt > 1 {
-                vec![format!("retry#{attempt}")]
-            } else {
-                Vec::new()
-            };
-            let dur = now_ns().saturating_sub(start_ns);
-            a.span_with_id(sid, a.root(), format!("rpc:{op}"), start_ns, dur, notes);
-        }
-        match outcome {
-            Ok(response) => {
-                self.latency.record(target, class, shipped_at.elapsed());
-                if let RpcTarget::Server(server) = target {
-                    // Any decoded response — server errors included —
-                    // proves the daemon is alive and timely.
-                    self.health.record_success(server, shipped_at.elapsed());
-                }
-                let result = response.into_result();
-                if let Err(e) = &result {
-                    self.note_shed(e);
-                }
-                result
-            }
-            Err(e) => {
-                if let RpcTarget::Server(server) = target {
-                    self.observe_failure(server, &e);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Wait for, decode, and attribute the reply to one single RPC
-    /// (`id` is the only request awaiting this handle).
-    fn await_reply(
-        &self,
-        target: RpcTarget,
-        id: RequestId,
-        pending: Box<dyn crate::transport::PendingReply>,
-    ) -> PvfsResult<Response> {
-        let raw = pending.wait(self.rpc_timeout).map_err(|e| match e {
-            WaitError::Timeout => PvfsError::timeout(format!(
-                "no reply to request {id} from {target:?} within {:?}",
-                self.rpc_timeout
-            )),
-            WaitError::Failed(e) => e,
-        })?;
-        let (rid, response) = decode_response(raw)?;
-        if rid == id {
-            return Ok(response);
-        }
-        if rid == RequestId(0) {
-            // Unattributable error response: only this request awaited
-            // this reply, so surfacing the server's error is safe — but
-            // only an *error* is acceptable under id 0.
-            if let Response::Error(e) = response {
-                return Err(e);
-            }
-            return Err(PvfsError::protocol(format!(
-                "non-error response with reserved id 0 (request id {id})"
-            )));
-        }
-        Err(PvfsError::protocol(format!(
-            "response id {rid} does not match request id {id}"
-        )))
-    }
-
-    /// One *hedged* read attempt: ship the RPC, and if no reply lands
-    /// within a percentile of this daemon's observed read latency
-    /// ([`HedgePolicy`]), ship an identical duplicate on a second
-    /// connection and take whichever response arrives first. The loser
-    /// drains in a background thread (bounded by the RPC deadline) so
-    /// a late reply never crosses wires with a later request. Only
-    /// read-class RPCs come through here — they are idempotent, so the
-    /// duplicate is harmless by construction.
-    fn call_hedged(
-        &self,
-        server: ServerId,
-        request: Request,
-        trace: Option<(&ActiveTrace, u32)>,
-    ) -> PvfsResult<Response> {
-        let target = RpcTarget::Server(server);
-        let class = request.op_class();
-        let op = request.op_name();
-        let observed = {
-            let snap = self.latency.snapshot(target, class);
-            (snap.count() > 0)
-                .then(|| Duration::from_nanos(snap.percentile_ns(self.hedge.percentile)))
-        };
-        let hedge_after = self.hedge.delay(observed).min(self.rpc_timeout);
-        let shipped_at = Instant::now();
-        let deadline = shipped_at + self.rpc_timeout;
-        // The primary and its hedge are sibling attempt spans; server
-        // spans parent under whichever frame carried their context.
-        let primary_span = trace.map(|(a, attempt)| (a, SpanId::next(), now_ns(), attempt));
-        let primary_ctx = primary_span.as_ref().map(|(a, sid, _, _)| a.ctx(*sid));
-        let (id, frame) = self.encode(request.clone(), primary_ctx)?;
-        // Both replies race into one channel, tagged by origin; each
-        // waiter ships and owns its own pending handle and dies with
-        // the deadline. Shipping on the waiter thread matters: a
-        // stalled connect/send (an injected delay fault, a jammed
-        // socket buffer) must not hold the hedge clock hostage.
-        let (tx, rx) = bounded::<(bool, Result<Bytes, WaitError>)>(2);
-        let timeout = self.rpc_timeout;
-        {
-            let tx = tx.clone();
-            let transport = self.transport.clone();
-            std::thread::spawn(move || {
-                let outcome = match transport.start(target, frame) {
-                    Ok(pending) => pending.wait(timeout),
-                    Err(e) => Err(WaitError::Failed(e)),
-                };
-                let _ = tx.send((false, outcome));
-            });
-        }
-        let mut outcomes: Vec<(bool, Result<Bytes, WaitError>)> = Vec::new();
-        let mut hedge_id: Option<RequestId> = None;
-        let mut hedge_span: Option<(SpanId, u64)> = None;
-        match rx.recv_timeout(hedge_after) {
-            Ok(first) => outcomes.push(first),
-            Err(RecvTimeoutError::Disconnected) => {}
-            Err(RecvTimeoutError::Timeout) => {
-                // The primary is slower than the hedge trigger: fire
-                // the duplicate. A failure to even ship it (full
-                // queue, dead transport) falls back to the primary
-                // alone rather than failing the op.
-                let hctx = primary_span.as_ref().map(|(a, _, _, _)| {
-                    let sid = SpanId::next();
-                    hedge_span = Some((sid, now_ns()));
-                    a.ctx(sid)
-                });
-                let (hid, hframe) = self.encode(request, hctx)?;
-                if let Ok(hedge_pending) = self.transport.start(target, hframe) {
-                    hedge_id = Some(hid);
-                    let tx = tx.clone();
-                    std::thread::spawn(move || {
-                        let _ = tx.send((true, hedge_pending.wait(timeout)));
-                    });
-                } else {
-                    hedge_span = None;
-                }
-            }
-        }
-        let expected = 1 + usize::from(hedge_id.is_some());
-        let winner = loop {
-            if let Some(pos) = outcomes.iter().position(|(_, r)| r.is_ok()) {
-                break Some(outcomes.swap_remove(pos));
-            }
-            if outcomes.len() >= expected {
-                break None;
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break None;
-            }
-            match rx.recv_timeout(remaining) {
-                Ok(m) => outcomes.push(m),
-                Err(_) => break None,
-            }
-        };
-        if hedge_id.is_some() {
-            self.stats.record_hedge(matches!(&winner, Some((true, _))));
-        }
-        if let Some((a, sid, start_ns, attempt)) = primary_span {
-            let hedge_won = matches!(&winner, Some((true, _)));
-            let end = now_ns();
-            let mut notes = if attempt > 1 {
-                vec![format!("retry#{attempt}")]
-            } else {
-                Vec::new()
-            };
-            if !hedge_won && hedge_span.is_some() {
-                notes.push("win".into());
-            }
-            a.span_with_id(
-                sid,
-                a.root(),
-                format!("rpc:{op}"),
-                start_ns,
-                end.saturating_sub(start_ns),
-                notes,
-            );
-            if let Some((hsid, hstart)) = hedge_span {
-                let mut hnotes = vec!["hedge".to_string()];
-                if hedge_won {
-                    hnotes.push("win".into());
-                }
-                a.span_with_id(
-                    hsid,
-                    a.root(),
-                    format!("rpc:{op}"),
-                    hstart,
-                    end.saturating_sub(hstart),
-                    hnotes,
-                );
-            }
-        }
-        match winner {
-            Some((from_hedge, Ok(raw))) => {
-                let expect = if from_hedge { hedge_id.unwrap() } else { id };
-                let (rid, response) = decode_response(raw)?;
-                if rid != expect {
-                    // With two requests in flight even an id-0 error is
-                    // ambiguous; reject anything misattributed.
-                    return Err(PvfsError::protocol(format!(
-                        "hedged response id {rid} does not match request id {expect}"
-                    )));
-                }
-                self.latency.record(target, class, shipped_at.elapsed());
-                self.health.record_success(server, shipped_at.elapsed());
-                let result = response.into_result();
-                if let Err(e) = &result {
-                    self.note_shed(e);
-                }
-                result
-            }
-            _ => {
-                let err = outcomes
-                    .into_iter()
-                    .find_map(|(_, r)| match r {
-                        Err(WaitError::Failed(e)) => Some(e),
-                        _ => None,
-                    })
-                    .unwrap_or_else(|| {
-                        PvfsError::timeout(format!(
-                            "no reply to hedged request {id} from server {server} within {:?}",
-                            self.rpc_timeout
-                        ))
-                    });
-                self.observe_failure(server, &err);
-                Err(err)
-            }
-        }
-    }
-
-    /// Feed one failed server RPC to the failure detector. Only
-    /// transport-class failures (connection loss, timeout) count
-    /// toward tripping a breaker; a shed ([`PvfsError::Overloaded`])
-    /// proves the daemon's acceptor is alive, so it only bumps the
-    /// client's shed counter, and logical server errors are neutral.
-    fn observe_failure(&self, server: ServerId, e: &PvfsError) {
-        match e {
-            PvfsError::Transport(_) | PvfsError::Timeout(_) => self.health.record_failure(server),
-            _ => self.note_shed(e),
-        }
-    }
-
-    /// Count a witnessed server-side shed.
-    fn note_shed(&self, e: &PvfsError) {
-        if matches!(e, PvfsError::Overloaded { .. }) {
-            self.stats.record_shed_seen();
-        }
-    }
-
     /// Issue several requests in parallel (the fan-out of one plan
-    /// round) and collect responses in request order.
-    ///
-    /// Failure diagnostics name the server and request id at fault. A
-    /// response carrying the reserved id 0 is a hard protocol error on
-    /// this path: with several requests in flight it could belong to
-    /// any of them, so it must never be matched to one.
+    /// round) and collect responses in request order. Failure
+    /// diagnostics name the server and request id at fault.
     ///
     /// # Partial-round recovery
     ///
@@ -1047,21 +727,21 @@ impl ClusterClient {
     /// are re-sent (fresh request ids), only to the servers that failed
     /// — responses already collected are kept and the healthy servers
     /// see no duplicate traffic. This is safe because every data-path
-    /// request is idempotent ([`Request::is_idempotent`]): replaying
-    /// the failed subset cannot corrupt regions whose writes already
-    /// applied. A deterministic error (or an exhausted
-    /// [`RetryPolicy`]) aborts the round with that error.
+    /// request is idempotent ([`Request::is_idempotent`]). The round
+    /// aborts with an op's error as soon as that op can no longer
+    /// succeed: a deterministic error, an exhausted [`RetryPolicy`], or
+    /// a lost write quorum.
     ///
     /// # Brown-out behavior
     ///
     /// A daemon whose circuit breaker is open fails its ops *at ship
-    /// time* with [`PvfsError::Unavailable`] — no queueing, no
-    /// timeout wait — while every other daemon's ops in the same
-    /// round ship, execute, and land in `results` as usual. The round
-    /// then surfaces the `Unavailable` (it is deliberately
-    /// non-retryable: spinning against an open breaker would defeat
-    /// it), so a round touching one dead daemon costs microseconds,
-    /// not an RPC timeout per attempt.
+    /// time* with [`PvfsError::Unavailable`] — no queueing, no timeout
+    /// wait — while every other daemon's ops in the same round ship and
+    /// execute as usual. The round then surfaces the `Unavailable`
+    /// (deliberately non-retryable: spinning against an open breaker
+    /// would defeat it), so a round touching one dead daemon costs
+    /// microseconds, not an RPC timeout per attempt.
+    ///
     /// # Replication
     ///
     /// With `PVFS_REPLICAS` > 1 every data op expands transparently:
@@ -1069,8 +749,8 @@ impl ClusterClient {
     /// succeed once the configured quorum acknowledges; reads go to the
     /// healthiest copy (breaker state, then latency EWMA) and *fail
     /// over* to the next mirror on breaker-open/timeout instead of
-    /// erroring the round. `r = 1` (the default) takes the unreplicated
-    /// fast path below, byte-for-byte today's behavior.
+    /// erroring the round. At `r = 1` (the default) every request is
+    /// one sub-op aimed where the caller aimed it.
     pub fn round(&self, requests: Vec<(ServerId, Request)>) -> PvfsResult<Vec<Response>> {
         let active = self.tracer.begin("round");
         let result = self.round_in(requests, active.as_ref());
@@ -1089,396 +769,402 @@ impl ClusterClient {
         requests: Vec<(ServerId, Request)>,
         trace: Option<&ActiveTrace>,
     ) -> PvfsResult<Vec<Response>> {
-        if self.replica.policy().enabled() {
-            self.round_replicated(requests, trace)
-        } else {
-            self.round_single(requests, trace)
-        }
+        let (subs, ops) = self.expand(requests);
+        let mut replies = self.run(subs, &ops, trace)?;
+        Ok(ops
+            .iter()
+            .map(|(range, _)| {
+                let copies = &mut replies[range.clone()];
+                if copies.len() > 1 {
+                    // A replicated write. Quorum met but a copy missed
+                    // the write: divergence for a later scrub to repair.
+                    let oks = copies.iter().flatten().count();
+                    if oks < copies.len() {
+                        self.stats.record_quorum_shortfall();
+                    }
+                    if let Some(a) = trace {
+                        a.annotate(format!("quorum_ack:{oks}/{}", copies.len()));
+                    }
+                }
+                // Copies apply identical local runs, so the first
+                // acknowledged copy's reply stands for the op.
+                let first = copies.iter_mut().find_map(Option::take);
+                first.expect("quorum met")
+            })
+            .collect())
     }
 
-    fn round_single(
-        &self,
-        requests: Vec<(ServerId, Request)>,
-        trace: Option<&ActiveTrace>,
-    ) -> PvfsResult<Vec<Response>> {
-        let mut results: Vec<Option<Response>> = (0..requests.len()).map(|_| None).collect();
-        let mut pending: Vec<usize> = (0..requests.len()).collect();
-        let started = Instant::now();
-        let mut backoff: Option<Backoff> = None;
-        let mut attempt = 1u32;
-        loop {
-            self.stats.record_attempts(pending.len() as u64);
-            let notes: Vec<String> = if attempt > 1 {
-                vec![format!("retry#{attempt}")]
-            } else {
-                Vec::new()
-            };
-            let mut failures =
-                self.round_attempt(&requests, &pending, &mut results, trace, &|_| notes.clone());
-            if failures.is_empty() {
-                return Ok(results
-                    .into_iter()
-                    .map(|r| r.expect("every op resolved"))
-                    .collect());
-            }
-            if let Some((_, e)) = failures.iter().find(|(i, e)| {
-                !e.is_retryable()
-                    || !(requests[*i].1.is_idempotent() || e.is_definitely_not_executed())
-            }) {
-                return Err(e.clone());
-            }
-            if attempt >= self.retry.max_attempts || started.elapsed() >= self.retry.budget {
-                return Err(failures.swap_remove(0).1);
-            }
-            let delay = backoff
-                .get_or_insert_with(|| self.new_backoff())
-                .next_delay()
-                .min(self.retry.budget.saturating_sub(started.elapsed()));
-            self.stats.record_retries(failures.len() as u64, delay);
-            std::thread::sleep(delay);
-            pending = failures.into_iter().map(|(i, _)| i).collect();
-            pending.sort_unstable();
-            attempt += 1;
-        }
-    }
-
-    /// The replicated fan-out: expand each data op into per-copy
-    /// sub-ops, ship them in waves over the ordinary round-attempt
-    /// machinery, fail reads over along their mirror chain, and
-    /// assemble per-op results under the write quorum.
-    ///
-    /// Failover waves re-ship immediately and consume no retry
-    /// attempts — abandoning a dead copy is progress, not a retry —
-    /// so a round that loses one daemon costs one timeout (or one
-    /// fast breaker rejection), never a retry storm.
-    fn round_replicated(
-        &self,
-        requests: Vec<(ServerId, Request)>,
-        trace: Option<&ActiveTrace>,
-    ) -> PvfsResult<Vec<Response>> {
-        struct SubMeta {
-            /// Remaining read mirrors, next-preferred first.
-            fallbacks: VecDeque<(ServerId, Request)>,
-            /// One copy of a replicated write (quorum-assembled).
-            write_copy: bool,
-        }
-        let map = Arc::clone(&self.replica);
-        let mut sub_reqs: Vec<(ServerId, Request)> = Vec::new();
-        let mut sub_meta: Vec<SubMeta> = Vec::new();
-        let mut orig_subs: Vec<Vec<usize>> = vec![Vec::new(); requests.len()];
-        for (oi, (server, request)) in requests.iter().enumerate() {
-            let Some(layout) = request_layout(request) else {
-                // Placement-free ops (pings, barriers, scrapes) pass
-                // through to their original target untouched.
-                orig_subs[oi].push(sub_reqs.len());
-                sub_meta.push(SubMeta {
-                    fallbacks: VecDeque::new(),
-                    write_copy: false,
-                });
-                sub_reqs.push((*server, request.clone()));
-                continue;
-            };
-            let slot = pvfs_replica::slot_of_server(layout, *server);
-            debug_assert!(slot < layout.pcount, "round target is not in the layout");
-            if request.op_class() == OpClass::Write {
-                // Writes fan out to every copy; the quorum decides
-                // success at assembly below.
-                for target in map.copies(layout, slot) {
-                    orig_subs[oi].push(sub_reqs.len());
-                    sub_meta.push(SubMeta {
-                        fallbacks: VecDeque::new(),
-                        write_copy: true,
+    /// The replica-expansion pre-pass of a round. Unreplicated and
+    /// placement-free requests (pings, barriers, scrapes) pass through
+    /// as one sub-op each. With `PVFS_REPLICAS` > 1 a write fans out to
+    /// every copy of its stripe slot under the write quorum, and a read
+    /// goes to the healthiest copy with the others as its failover chain.
+    fn expand(&self, requests: Vec<(ServerId, Request)>) -> (Vec<SubOp>, Vec<Quorum>) {
+        let map = &self.replica;
+        let mut subs = Vec::with_capacity(requests.len());
+        let mut ops = Vec::with_capacity(requests.len());
+        for (server, request) in requests {
+            let first = subs.len();
+            let mut required = 1;
+            let layout = request_layout(&request).copied();
+            match layout.filter(|_| map.policy().enabled()) {
+                None => subs.push(SubOp::new(RpcTarget::Server(server), request)),
+                Some(layout) => {
+                    let slot = pvfs_replica::slot_of_server(&layout, server);
+                    debug_assert!(slot < layout.pcount, "round target is not in the layout");
+                    let mut copies = map.copies(&layout, slot);
+                    let write = request.op_class() == OpClass::Write;
+                    if write {
+                        required = map.policy().required() as usize;
+                    } else {
+                        // Closed breakers first, then the fastest latency
+                        // EWMA (untried copies count as fast, worth
+                        // probing), then the primary.
+                        copies.sort_by_key(|t| {
+                            let open = self.health.state(t.server) == BreakerState::Open;
+                            let ewma = self.health.ewma(t.server).map_or(0, |d| d.as_nanos());
+                            (open, ewma, t.copy)
+                        });
+                    }
+                    let mut aimed = copies.iter().map(|t| {
+                        let copy = map.rewrite_request(&request, slot, t.copy);
+                        SubOp::new(RpcTarget::Server(t.server), copy)
                     });
-                    sub_reqs.push((
-                        target.server,
-                        map.rewrite_request(request, slot, target.copy),
-                    ));
+                    if write {
+                        subs.extend(aimed);
+                    } else {
+                        let best = aimed.next().expect("at least one copy");
+                        let mirrors = aimed.map(|m| (m.target, m.request)).collect();
+                        subs.push(SubOp { mirrors, ..best });
+                    }
                 }
-            } else {
-                // Reads go to the healthiest copy; the others queue up
-                // as an ordered failover chain.
-                let mut targets = map.copies(layout, slot);
-                targets.sort_by_key(|t| self.read_copy_key(*t));
-                let mut chain: VecDeque<(ServerId, Request)> = targets
-                    .iter()
-                    .map(|t| (t.server, map.rewrite_request(request, slot, t.copy)))
-                    .collect();
-                let first = chain.pop_front().expect("at least one copy");
-                orig_subs[oi].push(sub_reqs.len());
-                sub_meta.push(SubMeta {
-                    fallbacks: chain,
-                    write_copy: false,
-                });
-                sub_reqs.push(first);
             }
+            ops.push((first..subs.len(), required));
         }
+        (subs, ops)
+    }
 
-        let mut results: Vec<Option<Response>> = (0..sub_reqs.len()).map(|_| None).collect();
-        let mut errors: Vec<Option<PvfsError>> = (0..sub_reqs.len()).map(|_| None).collect();
-        let mut pending: Vec<usize> = (0..sub_reqs.len()).collect();
-        // Sub-ops re-aimed at a mirror carry a `failover` note on their
-        // next attempt's span, so the waterfall shows the abandonment.
-        let mut failed_over: Vec<bool> = vec![false; sub_reqs.len()];
+    /// The attempt engine behind [`ClusterClient::call`] and
+    /// [`ClusterClient::round_in`]. Each wave ships every pending
+    /// sub-op before waiting on any reply, settles the replies, and
+    /// sorts each failure. A failover re-aims the sub-op at its next
+    /// mirror and re-ships it at once without consuming a retry
+    /// (abandoning a dead copy is progress, so losing a daemon costs
+    /// one timeout, never a retry storm). A transient failure of a
+    /// replayable request is retried after the wave's one backoff
+    /// sleep. Anything else is terminal. The engine aborts with the
+    /// error that leaves an op short of its quorum; otherwise it
+    /// returns every sub-op's reply (`None` for write copies that
+    /// failed within their quorum).
+    fn run(
+        &self,
+        mut subs: Vec<SubOp>,
+        ops: &[Quorum],
+        trace: Option<&ActiveTrace>,
+    ) -> PvfsResult<Vec<Option<Response>>> {
+        // Per op: sub-ops that failed terminally.
+        let mut lost = vec![0; ops.len()];
+        let mut replies: Vec<Option<Response>> = (0..subs.len()).map(|_| None).collect();
+        let mut pending: Vec<usize> = (0..subs.len()).collect();
         let started = Instant::now();
         let mut backoff: Option<Backoff> = None;
-        let mut attempt = 1u32;
+        let mut wave = 1u32;
+        // Control scrapes stay off the client counters (the daemons
+        // exclude them too): reading stats or a trace must not advance
+        // the very counters being read.
+        let booked = |subs: &[SubOp], i: usize| !subs[i].request.is_control_scrape();
         loop {
-            self.stats.record_attempts(pending.len() as u64);
-            let failures = {
-                let wave = attempt;
-                let failed_over = &failed_over;
-                let notes_for = move |si: usize| {
-                    let mut notes = Vec::new();
-                    if wave > 1 {
-                        notes.push(format!("retry#{wave}"));
+            self.stats
+                .record_attempts(pending.iter().filter(|&&i| booked(&subs, i)).count() as u64);
+            // Ship every pending sub-op, then settle the replies; a
+            // refused frame settles at once, so its span ends with it.
+            let mut outcomes = Vec::with_capacity(pending.len());
+            let mut inflight = Vec::with_capacity(pending.len());
+            for &i in &pending {
+                match self.ship(&subs[i], trace) {
+                    Err(e) => outcomes.push((i, Err(e))),
+                    Ok(a) if matches!(a.reply, Reply::Refused(_)) => {
+                        outcomes.push((i, self.settle(&subs[i], a, wave, trace)))
                     }
-                    if failed_over[si] {
-                        notes.push("failover".into());
+                    Ok(a) => inflight.push((i, a)),
+                }
+            }
+            for (i, a) in inflight {
+                outcomes.push((i, self.settle(&subs[i], a, wave, trace)));
+            }
+            let (mut failover, mut retry, mut terminal) = (Vec::new(), Vec::new(), Vec::new());
+            for (i, outcome) in outcomes {
+                let e = match outcome {
+                    Ok(reply) => {
+                        replies[i] = Some(reply);
+                        continue;
                     }
-                    notes
+                    Err(e) => e,
                 };
-                self.round_attempt(&sub_reqs, &pending, &mut results, trace, &notes_for)
-            };
-            let mut immediate: Vec<usize> = Vec::new();
-            let mut retriable: Vec<(usize, PvfsError)> = Vec::new();
-            for (si, e) in failures {
-                let meta = &mut sub_meta[si];
-                if !meta.fallbacks.is_empty() && failover_worthy(&e) {
-                    // This replica is unreachable, gated, or shedding:
-                    // abandon it and re-aim the sub-op at the next
-                    // mirror. The op itself has not failed.
-                    sub_reqs[si] = meta.fallbacks.pop_front().expect("nonempty chain");
-                    self.stats.record_replica_failover();
-                    failed_over[si] = true;
-                    immediate.push(si);
-                    continue;
-                }
-                let replayable = sub_reqs[si].1.is_idempotent() || e.is_definitely_not_executed();
-                if e.is_retryable() && replayable {
-                    retriable.push((si, e));
-                } else {
-                    // Terminal for this sub-op. A failed write *copy*
-                    // does not abort the round — its siblings may still
-                    // make quorum — so park the error for assembly.
-                    errors[si] = Some(e);
-                }
-            }
-            if immediate.is_empty() && retriable.is_empty() {
-                break;
-            }
-            if immediate.is_empty() {
-                if attempt >= self.retry.max_attempts || started.elapsed() >= self.retry.budget {
-                    for (si, e) in retriable {
-                        errors[si] = Some(e);
+                let sub = &mut subs[i];
+                if failover_worthy(&e) {
+                    if let Some((target, request)) = sub.mirrors.pop_front() {
+                        // This copy is unreachable, gated, or shedding:
+                        // the op has not failed, the next mirror serves it.
+                        (sub.target, sub.request, sub.failed_over) = (target, request, true);
+                        self.stats.record_replica_failover();
+                        failover.push(i);
+                        continue;
                     }
-                    break;
+                }
+                let replayable = sub.request.is_idempotent() || e.is_definitely_not_executed();
+                if e.is_retryable() && replayable {
+                    retry.push((i, e));
+                } else {
+                    terminal.push((i, e));
+                }
+            }
+            let exhausted =
+                wave >= self.retry.max_attempts || started.elapsed() >= self.retry.budget;
+            if failover.is_empty() && exhausted {
+                terminal.append(&mut retry);
+            }
+            for (i, e) in terminal {
+                let o = ops.partition_point(|(range, _)| range.end <= i);
+                let (range, required) = &ops[o];
+                lost[o] += 1;
+                if lost[o] > range.len() - required {
+                    return Err(e);
+                }
+            }
+            if failover.is_empty() {
+                if retry.is_empty() {
+                    return Ok(replies);
                 }
                 let delay = backoff
                     .get_or_insert_with(|| self.new_backoff())
                     .next_delay()
                     .min(self.retry.budget.saturating_sub(started.elapsed()));
-                self.stats.record_retries(retriable.len() as u64, delay);
+                let retried = retry.iter().filter(|(i, _)| booked(&subs, *i)).count();
+                if retried > 0 {
+                    self.stats.record_retries(retried as u64, delay);
+                }
                 std::thread::sleep(delay);
-                attempt += 1;
+                wave += 1;
             }
-            pending = immediate
+            pending = failover
                 .into_iter()
-                .chain(retriable.iter().map(|(si, _)| *si))
+                .chain(retry.into_iter().map(|(i, _)| i))
                 .collect();
             pending.sort_unstable();
         }
+    }
 
-        // Assemble per original op, in order. Reads and passthroughs
-        // resolved to one sub-op; writes need `required()` of their
-        // copies to have acknowledged.
-        let required = map.policy().required();
-        let expected = map.replicas();
-        let mut out = Vec::with_capacity(requests.len());
-        for subs in &orig_subs {
-            if !sub_meta[subs[0]].write_copy {
-                let si = subs[0];
-                match results[si].take() {
-                    Some(r) => out.push(r),
-                    None => return Err(errors[si].take().expect("unresolved sub-op has an error")),
-                }
-                continue;
-            }
-            let oks = subs.iter().filter(|&&si| results[si].is_some()).count() as u32;
-            if oks < required {
-                let e = subs
-                    .iter()
-                    .find_map(|&si| errors[si].clone())
-                    .expect("failed quorum has a copy error");
+    /// Ship one attempt of `sub`: breaker admission (I/O daemons only;
+    /// the manager is never gated), encode, then [`Transport::start`].
+    /// A hedged sub-op leaves its frame to the race that is its wait
+    /// step. An `Err` means nothing reached the wire and no span opened.
+    fn ship(&self, sub: &SubOp, trace: Option<&ActiveTrace>) -> PvfsResult<Attempt> {
+        if let RpcTarget::Server(server) = sub.target {
+            if let Err(e) = self.health.admit(server) {
+                self.stats.record_breaker_rejection();
                 return Err(e);
             }
-            if oks < expected {
-                // Quorum met but a copy missed the write: divergence
-                // for a later scrub to repair.
-                self.stats.record_quorum_shortfall();
-            }
-            if let Some(a) = trace {
-                a.annotate(format!("quorum_ack:{oks}/{expected}"));
-            }
-            // Copies apply identical local runs, so any acknowledged
-            // copy's reply stands for the op; take the first in copy
-            // order for determinism.
-            let si = *subs
-                .iter()
-                .find(|&&si| results[si].is_some())
-                .expect("quorum met");
-            out.push(results[si].take().expect("just checked"));
         }
-        Ok(out)
+        let shipped_at = Instant::now();
+        let span = trace.map(|_| (SpanId::next(), now_ns()));
+        let ctx = trace.zip(span).map(|(a, (sid, _))| a.ctx(sid));
+        let (id, frame) = self.encode(sub.request.clone(), ctx)?;
+        let reply = match sub.hedge_after {
+            None => match self.transport.start(sub.target, frame) {
+                Ok(pending) => {
+                    if let (Some(a), Some((sid, t0))) = (trace, span) {
+                        a.span(sid, "send", t0, Vec::new());
+                    }
+                    Reply::Pending(pending)
+                }
+                Err(e) => Reply::Refused(e),
+            },
+            Some(after) => Reply::Hedged(frame, after),
+        };
+        Ok(Attempt {
+            id,
+            shipped_at,
+            span,
+            reply,
+        })
     }
 
-    /// Read-preference sort key for one copy: closed breakers first,
-    /// then fastest observed latency EWMA (untried copies count as
-    /// fast — worth probing), primary first on ties.
-    fn read_copy_key(&self, t: ReplicaTarget) -> (bool, u128, u32) {
-        let open = self.health.state(t.server) == BreakerState::Open;
-        let ewma = self
-            .health
-            .ewma(t.server)
-            .map(|d| d.as_nanos())
-            .unwrap_or(0);
-        (open, ewma, t.copy)
-    }
-
-    /// One fan-out attempt over the `pending` subset of `requests`:
-    /// ship every op first, then wait on every reply, filling `results`
-    /// and returning the `(index, error)` of each op that failed.
-    ///
-    /// With a trace attached, every shipped op records an `rpc:<op>`
-    /// span (annotated by `notes_for`, e.g. `retry#2` / `failover`)
-    /// with `send`/`recv` children, and its frame carries the span's
-    /// context so daemon-side spans land under the right attempt.
-    fn round_attempt(
+    /// Wait for one attempt's reply (a hedged sub-op runs its race
+    /// here), validate it, and book the outcome: the one place attempt
+    /// outcomes reach the failure detector, the latency histograms, the
+    /// shed counter and the trace. A daemon that answers, even with an
+    /// error, is alive; a shed is neither success nor failure;
+    /// transport-class failures count toward the breaker; latency
+    /// records successful replies only.
+    fn settle(
         &self,
-        requests: &[(ServerId, Request)],
-        pending: &[usize],
-        results: &mut [Option<Response>],
+        sub: &SubOp,
+        attempt: Attempt,
+        wave: u32,
         trace: Option<&ActiveTrace>,
-        notes_for: &dyn Fn(usize) -> Vec<String>,
-    ) -> Vec<(usize, PvfsError)> {
-        let mut failures = Vec::new();
-        let mut inflight = Vec::with_capacity(pending.len());
-        for &i in pending {
-            let (server, request) = &requests[i];
-            let class = request.op_class();
-            // Breaker admission before spending any work on the op: an
-            // open breaker fails this op fast without blocking the
-            // round's other ops.
-            if let Err(e) = self.health.admit(*server) {
-                self.stats.record_breaker_rejection();
-                failures.push((i, e));
-                continue;
+    ) -> PvfsResult<Response> {
+        let (mut id, span, mut hedge) = (attempt.id, attempt.span, None);
+        let raw = match attempt.reply {
+            Reply::Refused(e) => Err(WaitError::Failed(e)),
+            Reply::Pending(pending) => {
+                let recv_ns = now_ns();
+                let raw = pending.wait(self.rpc_timeout);
+                if let (Some(a), Some((sid, _))) = (trace, span) {
+                    a.span(sid, "recv", recv_ns, Vec::new());
+                }
+                raw
             }
-            let rpc_span = trace.map(|_| (SpanId::next(), now_ns()));
-            let ctx = trace.zip(rpc_span).map(|(a, (sid, _))| a.ctx(sid));
-            match self.encode(request.clone(), ctx) {
-                Err(e) => failures.push((i, e)),
-                Ok((id, frame)) => {
-                    let shipped_at = Instant::now();
-                    let op = request.op_name();
-                    match self.transport.start(RpcTarget::Server(*server), frame) {
-                        Err(e) => {
-                            if let (Some(a), Some((sid, t0))) = (trace, rpc_span) {
-                                let mut notes = notes_for(i);
-                                notes.push("error".into());
-                                a.span_with_id(
-                                    sid,
-                                    a.root(),
-                                    format!("rpc:{op}"),
-                                    t0,
-                                    now_ns().saturating_sub(t0),
-                                    notes,
-                                );
-                            }
-                            self.observe_failure(*server, &e);
-                            failures.push((i, annotate_round_error(*server, id, e)));
-                        }
-                        Ok(handle) => {
-                            if let (Some(a), Some((sid, t0))) = (trace, rpc_span) {
-                                a.span(sid, "send", t0, Vec::new());
-                            }
-                            inflight
-                                .push((i, *server, id, class, shipped_at, handle, rpc_span, op));
-                        }
+            Reply::Hedged(frame, after) => {
+                let (winner, raw, report) = self.race(sub, (id, frame), after, trace);
+                (id, hedge) = (winner, report);
+                raw
+            }
+        };
+        let elapsed = attempt.shipped_at.elapsed();
+        let reply = self.validate(sub.target, id, raw);
+        if let RpcTarget::Server(s) = sub.target {
+            match &reply {
+                Ok(Response::Error(PvfsError::Overloaded { .. })) => {}
+                Ok(_) => self.health.record_success(s, elapsed),
+                Err(PvfsError::Transport(_) | PvfsError::Timeout(_)) => {
+                    self.health.record_failure(s)
+                }
+                Err(_) => {}
+            }
+        }
+        let result = reply.and_then(|r| match r {
+            Response::Error(e) => Err(annotate_error(sub.target, id, e)),
+            r => Ok(r),
+        });
+        match &result {
+            Ok(_) => self
+                .latency
+                .record(sub.target, sub.request.op_class(), elapsed),
+            Err(PvfsError::Overloaded { .. }) => self.stats.record_shed_seen(),
+            Err(_) => {}
+        }
+        if let (Some(a), Some((sid, start))) = (trace, span) {
+            let op = sub.request.op_name();
+            let notes = [
+                (wave > 1).then(|| format!("retry#{wave}")),
+                sub.failed_over.then(|| "failover".into()),
+                matches!(hedge, Some(Hedge { won: false, .. })).then(|| "win".into()),
+                result.is_err().then(|| "error".into()),
+            ];
+            attempt_span(a, sid, op, start, notes.into_iter().flatten().collect());
+            if let Some(Hedge { won, span }) = hedge {
+                let notes = [Some("hedge".into()), won.then(|| "win".into())];
+                attempt_span(a, span.0, op, span.1, notes.into_iter().flatten().collect());
+            }
+        }
+        result
+    }
+
+    /// The hedge race — a hedged sub-op's wait step. The primary (request
+    /// `id`, encoded as `frame`) ships on its own waiter thread, so a
+    /// stalled connect or send cannot hold the hedge clock hostage. If it
+    /// has not answered `after` shipping, an identical duplicate ships on
+    /// a second connection and whichever reply lands first wins. The
+    /// loser drains on its waiter thread, bounded by the RPC deadline, so
+    /// a late reply never crosses wires with a later request; only
+    /// idempotent reads are hedged, so the duplicate is harmless. Returns
+    /// the winner's request id and raw reply (the primary's id and the
+    /// first failure when nothing won) and, if a traced duplicate
+    /// shipped, how it fared.
+    fn race(
+        &self,
+        sub: &SubOp,
+        (id, frame): (RequestId, Bytes),
+        after: Duration,
+        trace: Option<&ActiveTrace>,
+    ) -> (RequestId, Result<Bytes, WaitError>, Option<Hedge>) {
+        let (deadline, timeout) = (Instant::now() + self.rpc_timeout, self.rpc_timeout);
+        // Each racer reports its request id and outcome.
+        let (tx, rx) = bounded::<(RequestId, Result<Bytes, WaitError>)>(2);
+        let (primary, transport, target) = (tx.clone(), self.transport.clone(), sub.target);
+        std::thread::spawn(move || {
+            let outcome = transport.start(target, frame).map_err(WaitError::Failed);
+            let _ = primary.send((id, outcome.and_then(|p| p.wait(timeout))));
+        });
+        let mut outcomes = Vec::new();
+        let mut hedge: Option<(RequestId, Option<(SpanId, u64)>)> = None;
+        match rx.recv_timeout(after) {
+            Ok(first) => outcomes.push(first),
+            Err(_) => {
+                // Fire the duplicate. Failing to even ship it (full
+                // queue, dead transport) falls back to the primary alone.
+                let span = trace.map(|_| (SpanId::next(), now_ns()));
+                let ctx = trace.zip(span).map(|(a, (sid, _))| a.ctx(sid));
+                if let Ok((hid, frame)) = self.encode(sub.request.clone(), ctx) {
+                    if let Ok(pending) = self.transport.start(sub.target, frame) {
+                        let tx = tx.clone();
+                        std::thread::spawn(move || {
+                            let _ = tx.send((hid, pending.wait(timeout)));
+                        });
+                        hedge = Some((hid, span));
                     }
                 }
             }
         }
-        for (i, server, id, class, shipped_at, handle, rpc_span, op) in inflight {
-            let recv_ns = now_ns();
-            let outcome = self.collect_reply(server, id, handle);
-            if let (Some(a), Some((sid, t0))) = (trace, rpc_span) {
-                a.span(sid, "recv", recv_ns, Vec::new());
-                let mut notes = notes_for(i);
-                if outcome.is_err() {
-                    notes.push("error".into());
-                }
-                a.span_with_id(
-                    sid,
-                    a.root(),
-                    format!("rpc:{op}"),
-                    t0,
-                    now_ns().saturating_sub(t0),
-                    notes,
-                );
+        let expected = 1 + usize::from(hedge.is_some());
+        let winner = loop {
+            if let Some(pos) = outcomes.iter().position(|(_, r)| r.is_ok()) {
+                break Some(outcomes.swap_remove(pos));
             }
-            match outcome {
-                Ok(response) => {
-                    // Latency is measured from each op's own ship time:
-                    // the client-perceived completion latency under
-                    // fan-out concurrency.
-                    self.latency
-                        .record(RpcTarget::Server(server), class, shipped_at.elapsed());
-                    self.health.record_success(server, shipped_at.elapsed());
-                    results[i] = Some(response);
-                }
-                Err(e) => {
-                    self.observe_failure(server, &e);
-                    failures.push((i, e));
-                }
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if outcomes.len() >= expected || remaining.is_zero() {
+                break None;
+            }
+            match rx.recv_timeout(remaining) {
+                Ok(m) => outcomes.push(m),
+                Err(_) => break None,
+            }
+        };
+        let won = matches!((&winner, hedge), (Some((w, _)), Some((hid, _))) if *w == hid);
+        if hedge.is_some() {
+            self.stats.record_hedge(won);
+        }
+        let report = hedge.and_then(|(_, span)| span.map(|span| Hedge { won, span }));
+        match winner {
+            Some((w, raw)) => (w, raw, report),
+            None => {
+                let failed = outcomes
+                    .into_iter()
+                    .find_map(|(_, r)| r.err().filter(|e| matches!(e, WaitError::Failed(_))));
+                (id, Err(failed.unwrap_or(WaitError::Timeout)), report)
             }
         }
-        failures
     }
 
-    /// Wait for and validate one fan-out reply.
-    fn collect_reply(
+    /// The one reply validator: the response that answers request `id`,
+    /// possibly a server's [`Response::Error`]. Anything else — no reply
+    /// by the deadline, a transport failure, an undecodable frame, a
+    /// reply carrying the reserved id 0 (it could belong to any request
+    /// in flight) or another request's id — is an error naming the
+    /// target and the request.
+    fn validate(
         &self,
-        server: ServerId,
+        target: RpcTarget,
         id: RequestId,
-        handle: Box<dyn crate::transport::PendingReply>,
+        raw: Result<Bytes, WaitError>,
     ) -> PvfsResult<Response> {
-        let raw = handle.wait(self.rpc_timeout).map_err(|e| match e {
+        let raw = raw.map_err(|e| match e {
             WaitError::Timeout => PvfsError::timeout(format!(
-                "no reply to request {id} from server {server} within {:?}",
+                "no reply to request {id} from {target} within {:?}",
                 self.rpc_timeout
             )),
-            WaitError::Failed(e) => annotate_round_error(server, id, e),
+            WaitError::Failed(e) => annotate_error(target, id, e),
         })?;
-        let (rid, response) =
-            decode_response(raw).map_err(|e| annotate_round_error(server, id, e))?;
-        if rid == RequestId(0) {
-            return Err(PvfsError::protocol(format!(
-                "server {server} answered request {id} with the unattributable id 0 \
-                 ({})",
-                match response {
-                    Response::Error(e) => format!("server error: {e}"),
-                    other => format!("response {other:?}"),
-                }
-            )));
-        }
-        if rid != id {
-            return Err(PvfsError::protocol(format!(
-                "server {server} answered request {id} with mismatched response id {rid}"
-            )));
-        }
-        response
-            .into_result()
-            .map_err(|e| annotate_round_error(server, id, e))
+        let (rid, response) = decode_response(raw).map_err(|e| annotate_error(target, id, e))?;
+        let why = match (rid, response) {
+            (rid, response) if rid == id => return Ok(response),
+            (RequestId(0), response) => format!("the unattributable id 0 ({response:?})"),
+            (rid, _) => format!("mismatched response id {rid}"),
+        };
+        Err(PvfsError::protocol(format!(
+            "{target} answered request {id} with {why}"
+        )))
     }
 
     /// A fresh per-operation backoff sequence, seeded from the request
@@ -1489,6 +1175,68 @@ impl ClusterClient {
             RequestId(self.next_request.load(Ordering::Relaxed)),
         )
     }
+}
+
+/// One unit of work for the attempt engine: a request aimed at one
+/// target, where to go next if that target cannot answer, and whether
+/// to hedge a slow reply.
+struct SubOp {
+    target: RpcTarget,
+    request: Request,
+    /// Remaining copies of a replicated read, next-preferred first.
+    mirrors: VecDeque<(RpcTarget, Request)>,
+    /// Ship a duplicate if no reply lands within this long (read-class
+    /// `call`s under an enabled [`HedgePolicy`]; rounds never hedge).
+    hedge_after: Option<Duration>,
+    /// Re-aimed at a mirror: later attempts' spans are noted `failover`.
+    failed_over: bool,
+}
+
+impl SubOp {
+    fn new(target: RpcTarget, request: Request) -> SubOp {
+        SubOp {
+            target,
+            request,
+            mirrors: VecDeque::new(),
+            hedge_after: None,
+            failed_over: false,
+        }
+    }
+}
+
+/// One caller op: the range of sub-ops serving it, and how many of
+/// them must succeed (a replicated write's quorum; 1 otherwise).
+type Quorum = (Range<usize>, usize);
+
+/// One shipped attempt of a sub-op.
+struct Attempt {
+    id: RequestId,
+    shipped_at: Instant,
+    /// Id and start of the attempt's `rpc:<op>` span, when traced.
+    span: Option<(SpanId, u64)>,
+    reply: Reply,
+}
+
+/// Where an attempt's reply will come from.
+enum Reply {
+    /// [`Transport::start`] refused the frame.
+    Refused(PvfsError),
+    Pending(Box<dyn PendingReply>),
+    /// A hedged sub-op's encoded primary and hedge delay, for its race.
+    Hedged(Bytes, Duration),
+}
+
+/// The traced duplicate of a hedge race that shipped one.
+struct Hedge {
+    won: bool,
+    /// Id and start of the duplicate's `rpc:<op>` span.
+    span: (SpanId, u64),
+}
+
+/// Record one attempt's `rpc:<op>` span, ending now, under the root.
+fn attempt_span(a: &ActiveTrace, id: SpanId, op: &str, start_ns: u64, notes: Vec<String>) {
+    let dur = now_ns().saturating_sub(start_ns);
+    a.span_with_id(id, a.root(), format!("rpc:{op}"), start_ns, dur, notes);
 }
 
 /// Is this error a reason to abandon one replica and try a mirror?
@@ -1521,10 +1269,10 @@ fn request_layout(request: &Request) -> Option<&StripeLayout> {
     }
 }
 
-/// Attach which-server / which-request context to a server-side error
-/// from a fan-out round, preserving the variant (callers match on it).
-fn annotate_round_error(server: ServerId, id: RequestId, e: PvfsError) -> PvfsError {
-    let ctx = format!(" [server {server}, request {id}]");
+/// Attach which-target / which-request context to an RPC error,
+/// preserving the variant (callers match on it).
+fn annotate_error(target: RpcTarget, id: RequestId, e: PvfsError) -> PvfsError {
+    let ctx = format!(" [{target}, request {id}]");
     match e {
         PvfsError::InvalidArgument(m) => PvfsError::InvalidArgument(m + &ctx),
         PvfsError::Protocol(m) => PvfsError::Protocol(m + &ctx),
@@ -1802,8 +1550,21 @@ mod tests {
         assert!(matches!(response, Response::Error(_)));
     }
 
-    /// round() must treat an id-0 response as a hard protocol error:
-    /// with several requests in flight it cannot be attributed.
+    /// Sends one request to server 0 and expects it to fail.
+    type FailingSend = fn(&ClusterClient, Request) -> PvfsError;
+
+    /// Both client entry points, named.
+    fn entry_points() -> [(&'static str, FailingSend); 2] {
+        [
+            ("round", |c, r| c.round(vec![(ServerId(0), r)]).unwrap_err()),
+            ("call", |c, r| {
+                c.call(RpcTarget::Server(ServerId(0)), r).unwrap_err()
+            }),
+        ]
+    }
+
+    /// round() and call() must treat an id-0 response as a hard
+    /// protocol error: it names no request, so it cannot be attributed.
     #[test]
     fn round_rejects_unattributable_responses() {
         // A fake server that answers everything with id 0.
@@ -1817,27 +1578,27 @@ mod tests {
             }
         });
         let c = client_over(fake_tx);
-        let err = c
-            .round(vec![(
-                ServerId(0),
+        for (entry, send) in entry_points() {
+            let err = send(
+                &c,
                 Request::GetLocalSize {
                     handle: FileHandle(1),
                 },
-            )])
-            .unwrap_err();
-        match err {
-            PvfsError::Protocol(m) => {
-                assert!(m.contains("id 0"), "diagnostic should name id 0: {m}");
-                assert!(m.contains("iod0"), "diagnostic should name the server: {m}");
+            );
+            match err {
+                PvfsError::Protocol(m) => {
+                    assert!(m.contains("id 0"), "diagnostic should name id 0: {m}");
+                    assert!(m.contains("iod0"), "diagnostic should name the server: {m}");
+                }
+                other => panic!("{entry}: expected protocol error, got {other:?}"),
             }
-            other => panic!("expected protocol error, got {other:?}"),
         }
         drop(c);
         fake.join().unwrap();
     }
 
-    /// round() must reject a response whose id belongs to a *different*
-    /// request (the misattribution the old wildcard allowed).
+    /// round() and call() must reject a response whose id belongs to a
+    /// *different* request (the misattribution the old wildcard allowed).
     #[test]
     fn round_rejects_mismatched_response_id() {
         let (fake_tx, fake_rx) = bounded::<NodeMsg>(8);
@@ -1852,18 +1613,18 @@ mod tests {
             }
         });
         let c = client_over(fake_tx);
-        let err = c
-            .round(vec![(
-                ServerId(0),
+        for (_, send) in entry_points() {
+            let err = send(
+                &c,
                 Request::GetLocalSize {
                     handle: FileHandle(1),
                 },
-            )])
-            .unwrap_err();
-        assert!(
-            matches!(&err, PvfsError::Protocol(m) if m.contains("mismatched")),
-            "got {err:?}"
-        );
+            );
+            assert!(
+                matches!(&err, PvfsError::Protocol(m) if m.contains("mismatched")),
+                "got {err:?}"
+            );
+        }
         drop(c);
         fake.join().unwrap();
     }

@@ -29,7 +29,27 @@
 //!   time of the RPC; a wedged (or trickling) server produces
 //!   `PvfsError::Timeout`, never a hang;
 //! * request ids start at 1 — responses with the reserved id 0 are
-//!   unattributable and rejected on multi-request paths.
+//!   unattributable and rejected.
+//!
+//! # One attempt engine
+//!
+//! Every [`ClusterClient`] RPC runs through one attempt engine that
+//! works on *sub-ops*: a target (an I/O daemon or the manager), a
+//! request, an ordered mirror chain for failover, and an optional hedge
+//! delay. [`ClusterClient::call`] is one sub-op aimed at its explicit
+//! target, with no replica expansion. [`ClusterClient::round`] expands
+//! its requests across replicas (a pass-through at `r = 1`), runs them
+//! as sub-ops, and assembles each op under its write quorum. The engine
+//! works in waves: ship every pending sub-op (breaker admission,
+//! encode, [`Transport::start`]), wait for and validate each reply,
+//! then sort each failure. A failover re-aims a sub-op at its next
+//! mirror without consuming a retry; a retry waits out the wave's one
+//! backoff sleep; a hedge is a hedged sub-op's wait step; anything else
+//! is terminal, and a round aborts once some op can no longer reach its
+//! quorum. Outcomes are booked in one place: a decoded reply that is
+//! not a shed counts as a success for the daemon's health, a shed only
+//! as a shed, a transport failure or timeout as a failure, and latency
+//! histograms record successful replies only.
 //!
 //! The cluster also hosts the [`SerialGate`] clients use to serialize
 //! data-sieving writes (PVFS has no file locking; the paper used an
@@ -65,10 +85,10 @@
 //!   threshold fails fast with `PvfsError::Unavailable` (closed →
 //!   open → half-open probe → closed), so retries stop hammering a
 //!   corpse and rounds touching it cost microseconds, not timeouts;
-//! * **hedged reads** — `PVFS_HEDGE` (off by default): a read slower
-//!   than a percentile of its daemon's history is duplicated on a
-//!   second connection, first response wins — the p99 under transient
-//!   stalls collapses to the hedge delay;
+//! * **hedged reads** — `PVFS_HEDGE` (off by default): a read `call`
+//!   slower than a percentile of its daemon's history is duplicated on
+//!   a second connection, first response wins — the p99 under
+//!   transient stalls collapses to the hedge delay;
 //! * **load shedding** — a daemon whose bounded queue is full answers
 //!   `PvfsError::Overloaded` (retryable, provably unexecuted)
 //!   immediately instead of stalling the client into its timeout.

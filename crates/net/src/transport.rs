@@ -34,6 +34,15 @@ pub enum RpcTarget {
     Server(ServerId),
 }
 
+impl std::fmt::Display for RpcTarget {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RpcTarget::Manager => write!(f, "manager"),
+            RpcTarget::Server(s) => write!(f, "server {s}"),
+        }
+    }
+}
+
 /// Which transport a cluster speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {

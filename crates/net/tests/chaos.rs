@@ -601,6 +601,46 @@ fn breaker_trips_and_recovers_on_disconnects(kind: TransportKind) {
     assert_eq!(snap[1].trips, 0);
 }
 
+/// A daemon that answers, even with an error, is alive: a round whose
+/// only op draws a logical error reply closes a half-open breaker, the
+/// way a call's error reply does.
+#[test]
+fn round_error_reply_closes_a_half_open_breaker() {
+    let mut cluster = LiveCluster::spawn_with(1, IodConfig::default());
+    cluster.inject_faults(FaultPlan {
+        disconnect: 1.0,
+        target: Some(0),
+        limit: Some(1),
+        ..FaultPlan::default()
+    });
+    let c = cluster
+        .client()
+        .with_retry_policy(RetryPolicy::none())
+        .with_breaker_policy(BreakerPolicy {
+            threshold: 1,
+            open_for: Duration::from_millis(50),
+        });
+    let err = c.ping(ServerId(0)).unwrap_err();
+    assert!(matches!(err, PvfsError::Transport(_)), "got {err:?}");
+    assert_eq!(c.health().state(ServerId(0)), BreakerState::Open);
+    std::thread::sleep(Duration::from_millis(60));
+    assert_eq!(c.health().state(ServerId(0)), BreakerState::HalfOpen);
+
+    // The payload is shorter than the region: the daemon refuses it.
+    let short_write = Request::Write {
+        handle: FileHandle(61),
+        layout: layout(1),
+        region: Region::new(0, 16),
+        data: Bytes::from(vec![1u8; 5]),
+    };
+    let err = c.round(vec![(ServerId(0), short_write)]).unwrap_err();
+    assert!(
+        matches!(&err, PvfsError::Protocol(m) if m.contains("payload")),
+        "got {err:?}"
+    );
+    assert_eq!(c.health().state(ServerId(0)), BreakerState::Closed);
+}
+
 #[test]
 fn breaker_trips_and_recovers_on_disconnects_over_chan() {
     breaker_trips_and_recovers_on_disconnects(TransportKind::Chan);
@@ -787,6 +827,34 @@ fn full_queue_sheds_and_retries_absorb(kind: TransportKind) {
             other => panic!("unexpected {other:?}"),
         }
     }
+
+    // A shed is neither success nor failure: a call it answers leaves
+    // the caller's latency histogram and the daemon's EWMA untouched.
+    let probe = cluster.client().with_retry_policy(RetryPolicy::none());
+    probe.ping(ServerId(0)).unwrap();
+    let latency_before = probe.latency_snapshot().count();
+    let ewma_before = probe.health().ewma(ServerId(0));
+    let write = |k: u64| Request::Write {
+        handle: FileHandle(52),
+        layout: l,
+        region: Region::new(k * 16, 16),
+        data: Bytes::from(vec![k as u8; 16]),
+    };
+    let shed = (0..50).any(|_| {
+        std::thread::scope(|scope| {
+            // Occupy the one worker, then the one queue slot.
+            for k in 0..2 {
+                let c = cluster.client();
+                scope.spawn(move || c.call(RpcTarget::Server(ServerId(0)), write(k)).unwrap());
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let outcome = probe.call(RpcTarget::Server(ServerId(0)), write(2));
+            matches!(outcome, Err(PvfsError::Overloaded { .. }))
+        })
+    });
+    assert!(shed, "a busy worker plus a full queue must shed the probe");
+    assert_eq!(probe.latency_snapshot().count(), latency_before);
+    assert_eq!(probe.health().ewma(ServerId(0)), ewma_before);
 }
 
 #[test]

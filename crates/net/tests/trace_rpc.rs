@@ -274,54 +274,72 @@ fn untraced_runs_cost_zero_wire_bytes_over_tcp() {
     untraced_runs_cost_zero_wire_bytes(TransportKind::Tcp);
 }
 
-/// Chaos tracing: a round through a seeded disconnect retries, and the
-/// retry shows up in the SAME tree as a sibling `rpc:` span noted
-/// `retry#2` — not a second tree, not an orphan.
+/// Chaos tracing: a round (or a call) through a seeded disconnect
+/// retries, and the retry shows up in the SAME tree as a sibling `rpc:`
+/// span noted `retry#2` — not a second tree, not an orphan. The failed
+/// attempt is noted `error`.
 #[test]
 fn retried_round_traces_sibling_attempts_in_one_tree() {
-    let mut cluster = LiveCluster::spawn_with(2, IodConfig::default());
-    cluster.inject_faults(FaultPlan {
-        disconnect: 1.0,
-        target: Some(1),
-        limit: Some(1),
-        ..FaultPlan::default()
-    });
-    let c = cluster.client().with_trace_mode(TraceMode::All);
-    let l = layout(2);
+    for (root, first_attempts) in [("round", 2), ("call", 1)] {
+        let mut cluster = LiveCluster::spawn_with(2, IodConfig::default());
+        cluster.inject_faults(FaultPlan {
+            disconnect: 1.0,
+            target: Some(1),
+            limit: Some(1),
+            ..FaultPlan::default()
+        });
+        let c = cluster.client().with_trace_mode(TraceMode::All);
+        let l = layout(2);
 
-    c.round(
-        (0..2u32)
-            .map(|s| (ServerId(s), write(s, FileHandle(64), l)))
-            .collect(),
-    )
-    .unwrap();
-    assert_eq!(c.stats().retries, 1, "the seeded disconnect must bite");
+        if root == "round" {
+            c.round(
+                (0..2u32)
+                    .map(|s| (ServerId(s), write(s, FileHandle(64), l)))
+                    .collect(),
+            )
+            .unwrap();
+        } else {
+            c.call(RpcTarget::Server(ServerId(1)), write(1, FileHandle(64), l))
+                .unwrap();
+        }
+        assert_eq!(c.stats().retries, 1, "the seeded disconnect must bite");
 
-    let tree = c.fetch_trace(c.tracer().last().unwrap());
-    assert!(tree.orphans().is_empty(), "{}", tree.render());
-    assert_eq!(tree.roots().len(), 1, "one round, one tree");
-    let root_id = tree.roots()[0].id;
-    let rpc_spans: Vec<_> = tree
-        .spans()
-        .iter()
-        .filter(|s| s.op.starts_with("rpc:"))
-        .collect();
-    assert_eq!(
-        rpc_spans.len(),
-        3,
-        "two first attempts + one retry:\n{}",
-        tree.render()
-    );
-    assert!(
-        rpc_spans.iter().all(|s| s.parent == root_id),
-        "attempts are siblings under the round root:\n{}",
-        tree.render()
-    );
-    let retried: Vec<_> = rpc_spans
-        .iter()
-        .filter(|s| s.notes.iter().any(|n| n == "retry#2"))
-        .collect();
-    assert_eq!(retried.len(), 1, "{}", tree.render());
+        let tree = c.fetch_trace(c.tracer().last().unwrap());
+        assert!(tree.orphans().is_empty(), "{}", tree.render());
+        assert_eq!(tree.roots().len(), 1, "one {root}, one tree");
+        let root_id = tree.roots()[0].id;
+        let rpc_spans: Vec<_> = tree
+            .spans()
+            .iter()
+            .filter(|s| s.op.starts_with("rpc:"))
+            .collect();
+        assert_eq!(
+            rpc_spans.len(),
+            first_attempts + 1,
+            "{first_attempts} first attempt(s) + one retry:\n{}",
+            tree.render()
+        );
+        assert!(
+            rpc_spans.iter().all(|s| s.parent == root_id),
+            "attempts are siblings under the {root} root:\n{}",
+            tree.render()
+        );
+        let retried: Vec<_> = rpc_spans
+            .iter()
+            .filter(|s| s.notes.iter().any(|n| n == "retry#2"))
+            .collect();
+        assert_eq!(retried.len(), 1, "{}", tree.render());
+        let failed: Vec<_> = rpc_spans
+            .iter()
+            .filter(|s| s.notes.iter().any(|n| n == "error"))
+            .collect();
+        assert_eq!(failed.len(), 1, "{}", tree.render());
+        assert!(
+            !failed[0].notes.iter().any(|n| n == "retry#2"),
+            "{}",
+            tree.render()
+        );
+    }
 }
 
 /// A hedged read records BOTH racers in the tree: the stalled primary
