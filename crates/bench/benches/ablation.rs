@@ -12,7 +12,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pvfs_core::{plan, IoKind, ListRequest, Method, MethodConfig};
-use pvfs_server::IodConfig;
 use pvfs_sim::CostConfig;
 use pvfs_simcluster::{ClientJob, SimCluster};
 use pvfs_types::{FileHandle, RegionList, StripeLayout};
@@ -26,7 +25,7 @@ fn strided_request(n: u64, len: u64, stride: u64) -> ListRequest {
 
 fn simulate(request: &ListRequest, method: Method, kind: IoKind, cfg: &MethodConfig) -> f64 {
     let layout = StripeLayout::paper_default(8);
-    let mut sim = SimCluster::new(8, IodConfig::default(), CostConfig::paper_default());
+    let mut sim = SimCluster::new(8, CostConfig::paper_default());
     let file_size = request.file.extent().unwrap().end();
     if kind == IoKind::Read {
         sim.seed_warm(FH, &layout, file_size);
@@ -140,7 +139,7 @@ fn ablate_datatype(c: &mut Criterion) {
 /// Cold sequential reads with and without kernel-style read-ahead, and
 /// LRU vs CLOCK replacement under a thrashing pattern.
 fn ablate_cache(c: &mut Criterion) {
-    use pvfs_disk::{CacheConfig, CachePolicy, DiskModel, LocalFile};
+    use pvfs_disk::{CacheConfig, CachePolicy, CostModel, DiskModel};
     let mut g = c.benchmark_group("ablation_cache");
     g.sample_size(10);
     g.warm_up_time(Duration::from_millis(300));
@@ -149,11 +148,10 @@ fn ablate_cache(c: &mut Criterion) {
         let cold_sequential = move || {
             let mut cfg = CacheConfig::paper_default();
             cfg.readahead_blocks = ra;
-            let mut f = LocalFile::new(cfg, DiskModel::paper_default());
+            let mut m = CostModel::new(cfg, DiskModel::paper_default());
             let mut disk_ns = 0u64;
             for i in 0..512u64 {
-                let (_, r) = f.read_at(i * 4096, 4096).unwrap();
-                disk_ns += r.disk_ns;
+                disk_ns += m.charge_read(i * 4096, 4096).disk_ns;
             }
             disk_ns
         };
@@ -171,7 +169,7 @@ fn ablate_cache(c: &mut Criterion) {
             let mut cfg = CacheConfig::paper_default();
             cfg.capacity_blocks = 256;
             cfg.policy = policy;
-            let mut f = LocalFile::new(cfg, DiskModel::paper_default());
+            let mut m = CostModel::new(cfg, DiskModel::paper_default());
             let mut hits = 0u64;
             // A re-referenced hot set (fits) plus one-touch scans that
             // don't: the classic scan-resistance scenario CLOCK's
@@ -179,11 +177,10 @@ fn ablate_cache(c: &mut Criterion) {
             for round in 0..64u64 {
                 for _ in 0..3 {
                     for h in 0..128u64 {
-                        let (_, r) = f.read_at(h * 4096, 64).unwrap();
-                        hits += r.cache.hit_blocks;
+                        hits += m.charge_read(h * 4096, 64).cache.hit_blocks;
                     }
                 }
-                let (_, r) = f.read_at((1000 + round * 200) * 4096, 200 * 4096).unwrap();
+                let r = m.charge_read((1000 + round * 200) * 4096, 200 * 4096);
                 hits += r.cache.hit_blocks;
             }
             hits

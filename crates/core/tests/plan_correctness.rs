@@ -37,7 +37,7 @@ fn execute(mut plan: AccessPlan, user: &mut [u8], daemons: &mut [IoDaemon]) {
             Step::Round(ops) => {
                 for wire in ops {
                     let req = wire_request(&wire, plan.handle, &plan.layout, &bufs);
-                    let (resp, _) = daemons[wire.server.index()].handle(&req);
+                    let resp = daemons[wire.server.index()].handle(&req);
                     match resp {
                         Response::Data { data } => {
                             scatter_response(&wire.op, &plan.layout, wire.server, &data, &mut bufs)
@@ -71,7 +71,7 @@ fn seed_file(content: &[u8], layout: &StripeLayout, daemons: &mut [IoDaemon]) {
         if share.is_empty() {
             continue;
         }
-        let (resp, _) = d.handle(&Request::Write {
+        let resp = d.handle(&Request::Write {
             handle: FH,
             layout: *layout,
             region,
@@ -90,7 +90,7 @@ fn dump_file(len: usize, layout: &StripeLayout, daemons: &mut [IoDaemon]) -> Vec
             continue;
         }
         let slot = d.id().0 - layout.base;
-        let (resp, _) = d.handle(&Request::Read {
+        let resp = d.handle(&Request::Read {
             handle: FH,
             layout: *layout,
             region,

@@ -111,12 +111,14 @@ impl CacheOutcome {
 /// LRU block cache with write-back dirty tracking.
 ///
 /// LRU is implemented with a monotone access clock per block and a
-/// min-scan eviction over a `HashMap`; eviction is rare relative to
-/// access in the simulated workloads, and an O(n) scan on eviction keeps
-/// the structure simple. There is no faster LRU variant: at figure
-/// scale the cache is large (32 Ki blocks), so each LRU eviction scans
-/// up to that many entries. The CLOCK policy ([`CachePolicy::Clock`])
-/// sweeps a ring of resident blocks instead of scanning for the oldest.
+/// min-scan eviction over a `HashMap`. The scan runs only in the
+/// simulator (live daemons keep no cache model), where eviction is rare
+/// relative to access; at figure scale the cache is large (32 Ki
+/// blocks), so each LRU eviction scans up to that many entries.
+/// Read-ahead inserts blocks with tied ticks, so ties go to the lowest
+/// block: the victim never depends on hash iteration order. The CLOCK
+/// policy ([`CachePolicy::Clock`]) sweeps a ring of resident blocks
+/// instead of scanning for the oldest.
 #[derive(Debug, Clone)]
 pub struct BufferCache {
     config: CacheConfig,
@@ -265,7 +267,7 @@ impl BufferCache {
         let victim = self
             .resident
             .iter()
-            .min_by_key(|(_, e)| e.tick)
+            .min_by_key(|(b, e)| (e.tick, **b))
             .map(|(b, _)| *b);
         if let Some(b) = victim {
             let entry = self.resident.remove(&b).expect("victim resident");

@@ -1,45 +1,17 @@
-//! One I/O daemon's local file: content + cache residency + disk cost.
+//! One I/O daemon's local file: the bytes of one handle.
 
 use crate::backend::{CrashPoint, StorageBackend};
-use crate::cache::{BufferCache, CacheConfig, CacheOutcome};
-use crate::model::{DiskModel, HeadTracker};
+use crate::cache::CacheStats;
 use crate::store::SparseStore;
 use pvfs_types::PvfsResult;
 
-/// Cost of one storage operation, reported alongside its functional
-/// result. The discrete-event simulator turns `disk_ns` into virtual
-/// time; the live cluster ignores it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CostReport {
-    /// Virtual nanoseconds spent on the disk (misses + write-backs).
-    pub disk_ns: u64,
-    /// Bytes read from the store.
-    pub bytes_read: u64,
-    /// Bytes written to the store.
-    pub bytes_written: u64,
-    /// Cache residency outcome.
-    pub cache: CacheOutcome,
-}
-
-impl CostReport {
-    /// Fold another report into this one.
-    pub fn merge(&mut self, other: CostReport) {
-        self.disk_ns += other.disk_ns;
-        self.bytes_read += other.bytes_read;
-        self.bytes_written += other.bytes_written;
-        self.cache.merge(other.cache);
-    }
-}
-
 /// A local file under one I/O daemon: a [`StorageBackend`] for the
-/// bytes (memory or durable file+journal), an LRU buffer cache
-/// residency model, and a disk timing model with head tracking.
+/// bytes (memory or durable file+journal) and the count of mutations
+/// applied to it. It models no cost; the simulator charges its
+/// [`CostModel`](crate::CostModel) with the same accesses instead.
 #[derive(Debug)]
 pub struct LocalFile {
     store: Box<dyn StorageBackend>,
-    cache: BufferCache,
-    model: DiskModel,
-    head: HeadTracker,
     /// Mutating ops applied this daemon incarnation. Deliberately not
     /// persisted: a freshly restarted daemon answers 0, so anti-entropy
     /// scrub never mistakes it for the freshest copy.
@@ -47,31 +19,18 @@ pub struct LocalFile {
 }
 
 impl LocalFile {
-    /// New empty memory-backed file with the given cache and disk
-    /// parameters.
-    pub fn new(cache_config: CacheConfig, model: DiskModel) -> LocalFile {
-        LocalFile::with_backend(cache_config, model, Box::new(SparseStore::new()))
+    /// New empty memory-backed file.
+    pub fn in_memory() -> LocalFile {
+        LocalFile::with_backend(Box::new(SparseStore::new()))
     }
 
     /// A file over an explicit backend (the durable
     /// [`FileStore`](crate::FileStore), a test double, ...).
-    pub fn with_backend(
-        cache_config: CacheConfig,
-        model: DiskModel,
-        store: Box<dyn StorageBackend>,
-    ) -> LocalFile {
+    pub fn with_backend(store: Box<dyn StorageBackend>) -> LocalFile {
         LocalFile {
             store,
-            cache: BufferCache::new(cache_config),
-            model,
-            head: HeadTracker::new(),
             write_version: 0,
         }
-    }
-
-    /// New empty memory-backed file with paper-default cache and disk.
-    pub fn with_defaults() -> LocalFile {
-        LocalFile::new(CacheConfig::paper_default(), DiskModel::paper_default())
     }
 
     /// Local file size (one past the highest byte written).
@@ -84,147 +43,35 @@ impl LocalFile {
         self.store.as_ref()
     }
 
-    /// Read `len` bytes at `offset` without touching the cache model or
-    /// cost accounting — the verification-oracle path.
-    pub fn peek_vec(&self, offset: u64, len: usize) -> Vec<u8> {
-        self.store
-            .read_vec(offset, len)
-            .expect("oracle read failed")
+    /// Cache statistics: always zero, because a live file keeps no cache
+    /// model. Kept so per-layer reports can still ask.
+    pub fn cache_stats(&self) -> CacheStats {
+        CacheStats::default()
     }
 
-    /// Cache statistics.
-    pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.cache.stats()
+    /// Read `len` bytes at `offset` (zero-filled past EOF).
+    pub fn read_at(&self, offset: u64, len: usize) -> PvfsResult<Vec<u8>> {
+        self.store.read_vec(offset, len)
     }
 
-    /// Read `len` bytes at `offset` (zero-filled past EOF), reporting
-    /// cost.
-    pub fn read_at(&mut self, offset: u64, len: usize) -> PvfsResult<(Vec<u8>, CostReport)> {
-        let data = self.store.read_vec(offset, len)?;
-        let report = self.charge_read(offset, len as u64);
-        Ok((data, report))
-    }
-
-    /// Read into a caller-provided buffer.
-    pub fn read_into(&mut self, offset: u64, buf: &mut [u8]) -> PvfsResult<CostReport> {
-        self.store.read_at(offset, buf)?;
-        Ok(self.charge_read(offset, buf.len() as u64))
-    }
-
-    /// Write `data` at `offset`, reporting cost.
-    pub fn write_at(&mut self, offset: u64, data: &[u8]) -> PvfsResult<CostReport> {
+    /// Write `data` at `offset`.
+    pub fn write_at(&mut self, offset: u64, data: &[u8]) -> PvfsResult<()> {
         self.write_batch(&[(offset, data)])
     }
 
     /// Apply a whole request's runs as one batch — all-or-nothing
     /// across a crash on durable backends (one journal record), plain
     /// in-order writes on memory.
-    pub fn write_batch(&mut self, runs: &[(u64, &[u8])]) -> PvfsResult<CostReport> {
-        let mut prev_size = self.store.size();
+    pub fn write_batch(&mut self, runs: &[(u64, &[u8])]) -> PvfsResult<()> {
         self.store.write_batch(runs)?;
         self.write_version += 1;
-        let mut report = CostReport::default();
-        for (offset, data) in runs {
-            report.merge(self.charge_write(*offset, data.len() as u64, prev_size));
-            prev_size = prev_size.max(offset.saturating_add(data.len() as u64));
-        }
-        Ok(report)
+        Ok(())
     }
 
-    fn charge_write(&mut self, offset: u64, len: u64, prev_size: u64) -> CostReport {
-        if len == 0 {
-            return CostReport::default();
-        }
-        let cache = self.cache.access(offset, len, true);
-        let mut disk_ns = 0;
-        // Write-allocate absorbs the data into cache; an unaligned
-        // write into a block that already held data requires a
-        // read-fill of that block. Fresh files (writes at/past the old
-        // EOF block) never read-fill — pages are allocated zeroed.
-        let bs = self.cache.config().block_size;
-        let unaligned =
-            !offset.is_multiple_of(bs) || !offset.saturating_add(len).is_multiple_of(bs);
-        let block_start = (offset / bs) * bs;
-        if unaligned && cache.miss_blocks > 0 && block_start < prev_size {
-            let sequential = self.head.observe(offset, len);
-            disk_ns += self.model.access_ns(bs.min(len), sequential);
-        }
-        if cache.writeback_blocks > 0 {
-            disk_ns += self
-                .model
-                .writeback_ns(cache.writeback_blocks, self.cache.config().block_size);
-        }
-        CostReport {
-            disk_ns,
-            bytes_read: 0,
-            bytes_written: len,
-            cache,
-        }
-    }
-
-    fn charge_read(&mut self, offset: u64, len: u64) -> CostReport {
-        if len == 0 {
-            return CostReport::default();
-        }
-        let mut cache = self.cache.access(offset, len, false);
-        let mut disk_ns = 0;
-        if cache.miss_blocks > 0 {
-            // Foreground read of the missed bytes. Misses within one
-            // access are contiguous enough to count as one positioned
-            // run.
-            let sequential = self.head.observe(offset, len);
-            disk_ns += self.model.access_ns(
-                cache.miss_blocks * self.cache.config().block_size,
-                sequential,
-            );
-            // Sequential misses trigger read-ahead: the next blocks are
-            // pulled in at pure transfer cost (the head is already
-            // positioned), so the next sequential access hits.
-            let ra = self.cache.config().readahead_blocks;
-            if sequential && ra > 0 {
-                let bs = self.cache.config().block_size;
-                let next = (offset + len - 1) / bs + 1;
-                for b in next..next + ra {
-                    cache.writeback_blocks += self.cache.prefetch(b);
-                }
-                disk_ns += self.model.transfer_ns(ra * bs);
-                // The head physically moved through the prefetched
-                // range: the next miss past it is sequential.
-                self.head
-                    .observe(offset + len, (next + ra) * bs - (offset + len));
-            }
-        }
-        if cache.writeback_blocks > 0 {
-            disk_ns += self
-                .model
-                .writeback_ns(cache.writeback_blocks, self.cache.config().block_size);
-        }
-        CostReport {
-            disk_ns,
-            bytes_read: len,
-            bytes_written: 0,
-            cache,
-        }
-    }
-
-    /// Flush all dirty blocks to disk, reporting the write-back cost.
-    pub fn flush(&mut self) -> CostReport {
-        let blocks = self.cache.flush();
-        CostReport {
-            disk_ns: self
-                .model
-                .writeback_ns(blocks, self.cache.config().block_size),
-            ..CostReport::default()
-        }
-    }
-
-    /// Durability barrier: flush the cache model (its write-back cost
-    /// is the report) and fsync the backend. Returns the bytes now
+    /// Durability barrier: fsync the backend. Returns the bytes now
     /// durable.
-    pub fn sync(&mut self) -> PvfsResult<(u64, CostReport)> {
-        let report = self.flush();
-        let durable = self.store.sync()?;
-        Ok((durable, report))
+    pub fn sync(&mut self) -> PvfsResult<u64> {
+        self.store.sync()
     }
 
     /// Truncate the file.
@@ -241,9 +88,7 @@ impl LocalFile {
 
     /// Anti-entropy digests: fnv1a64 over each `chunk`-byte piece of
     /// the local bytes `[i*chunk, min((i+1)*chunk, size))`, plus the
-    /// in-memory write version. Reads go straight to the store (the
-    /// authoritative bytes — the buffer cache is only a cost model), so
-    /// digests never disturb cache residency or cost accounting.
+    /// in-memory write version.
     pub fn digest_chunks(&self, chunk: u64) -> PvfsResult<(u64, Vec<u64>)> {
         debug_assert!(chunk > 0, "digest chunk must be nonzero");
         let size = self.store.size();
@@ -268,205 +113,39 @@ impl LocalFile {
 mod tests {
     use super::*;
 
-    fn small_file() -> LocalFile {
-        LocalFile::new(CacheConfig::tiny(8), DiskModel::paper_default())
-    }
-
     #[test]
     fn read_write_roundtrip() {
-        let mut f = LocalFile::with_defaults();
+        let mut f = LocalFile::in_memory();
         f.write_at(100, b"parallel virtual file system").unwrap();
-        let (data, _) = f.read_at(100, 28).unwrap();
+        let data = f.read_at(100, 28).unwrap();
         assert_eq!(&data, b"parallel virtual file system");
         assert_eq!(f.size(), 128);
     }
 
     #[test]
-    fn cold_read_costs_disk_time_warm_read_does_not() {
-        let mut f = small_file();
-        f.write_at(0, &[1u8; 64]).unwrap();
-        let (_, warm) = f.read_at(0, 64).unwrap(); // resident from write-allocate
-        assert_eq!(warm.disk_ns, 0);
-        assert_eq!(warm.cache.hit_blocks, 4);
-        // A never-touched range costs positioning + transfer.
-        let (_, cold) = f.read_at(1024, 64).unwrap();
-        assert!(cold.disk_ns > 0);
-        assert_eq!(cold.cache.miss_blocks, 4);
-    }
-
-    #[test]
-    fn aligned_write_is_absorbed_by_cache() {
-        let mut f = small_file(); // 16-byte blocks
-        let r = f.write_at(0, &[7u8; 32]).unwrap(); // aligned, 2 blocks
-        assert_eq!(r.disk_ns, 0);
-        assert_eq!(r.bytes_written, 32);
-    }
-
-    #[test]
-    fn unaligned_write_to_fresh_file_is_free() {
-        // Writes past the old EOF allocate zeroed pages — no read-fill,
-        // regardless of alignment. This matters: the paper's write
-        // benchmarks write fresh files, and their cost is modeled by
-        // the server-side write path, not phantom disk reads.
-        let mut f = small_file();
-        let r = f.write_at(3, &[7u8; 10]).unwrap();
-        assert_eq!(r.disk_ns, 0);
-    }
-
-    #[test]
-    fn unaligned_overwrite_of_cold_existing_data_pays_read_fill() {
-        let mut f = small_file();
-        f.write_at(0, &[1u8; 128]).unwrap(); // materialize data
-                                             // Evict everything by touching other blocks beyond capacity.
-        for i in 0..16u64 {
-            f.read_at(1024 + i * 16, 16).unwrap();
-        }
-        let r = f.write_at(3, &[7u8; 6]).unwrap(); // unaligned, block holds data
-        assert!(r.disk_ns > 0);
-    }
-
-    #[test]
-    fn eviction_of_dirty_blocks_charges_writeback() {
-        let mut f = LocalFile::new(CacheConfig::tiny(2), DiskModel::paper_default());
-        f.write_at(0, &[1u8; 16]).unwrap();
-        f.write_at(16, &[1u8; 16]).unwrap();
-        let r = f.write_at(32, &[1u8; 16]).unwrap(); // evicts a dirty block
-        assert!(r.cache.writeback_blocks >= 1);
-        assert!(r.disk_ns > 0);
-    }
-
-    #[test]
-    fn flush_costs_proportional_to_dirty_blocks() {
-        let mut f = small_file();
-        f.write_at(0, &[1u8; 64]).unwrap(); // 4 dirty blocks
-        let r1 = f.flush();
-        assert!(r1.disk_ns > 0);
-        let r2 = f.flush();
-        assert_eq!(r2.disk_ns, 0);
-    }
-
-    #[test]
-    fn zero_length_ops_are_free() {
-        let mut f = small_file();
-        assert_eq!(f.write_at(0, b"").unwrap(), CostReport::default());
-        let (d, r) = f.read_at(0, 0).unwrap();
-        assert!(d.is_empty());
-        assert_eq!(r, CostReport::default());
-    }
-
-    #[test]
-    fn read_into_matches_read_at() {
-        let mut f = LocalFile::with_defaults();
-        f.write_at(0, &[9u8; 100]).unwrap();
-        let (a, _) = f.read_at(10, 50).unwrap();
-        let mut b = vec![0u8; 50];
-        f.read_into(10, &mut b).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn cost_report_merge_accumulates() {
-        let mut a = CostReport {
-            disk_ns: 10,
-            bytes_read: 1,
-            bytes_written: 2,
-            cache: CacheOutcome {
-                hit_blocks: 1,
-                miss_blocks: 1,
-                writeback_blocks: 0,
-            },
-        };
-        a.merge(CostReport {
-            disk_ns: 5,
-            bytes_read: 10,
-            bytes_written: 20,
-            cache: CacheOutcome {
-                hit_blocks: 2,
-                miss_blocks: 3,
-                writeback_blocks: 4,
-            },
-        });
-        assert_eq!(a.disk_ns, 15);
-        assert_eq!(a.bytes_read, 11);
-        assert_eq!(a.bytes_written, 22);
-        assert_eq!(a.cache.hit_blocks, 3);
-    }
-
-    #[test]
-    fn sequential_reads_cost_less_than_scattered() {
-        // Same bytes, same cold cache: sequential walk vs random walk.
-        let cold = || LocalFile::new(CacheConfig::tiny(4), DiskModel::paper_default());
-        let mut seq = cold();
-        let mut scattered = cold();
-        let mut seq_ns = 0;
-        let mut rnd_ns = 0;
-        for i in 0..16u64 {
-            seq_ns += seq.read_at(i * 16, 16).unwrap().1.disk_ns;
-            // Jump around with a stride that defeats head tracking.
-            rnd_ns += scattered
-                .read_at(((i * 7) % 16) * 1024, 16)
-                .unwrap()
-                .1
-                .disk_ns;
-        }
-        assert!(seq_ns < rnd_ns, "seq {seq_ns} vs random {rnd_ns}");
-    }
-
-    #[test]
-    fn readahead_turns_sequential_cold_reads_into_hits() {
-        let mut cfg = CacheConfig::tiny(64);
-        cfg.readahead_blocks = 4;
-        let mut f = LocalFile::new(cfg, DiskModel::paper_default());
-        // First read misses and positions the head...
-        let (_, r0) = f.read_at(0, 16).unwrap();
-        assert_eq!(r0.cache.miss_blocks, 1);
-        // ...the second sequential read misses but triggers read-ahead,
-        // so the following sequential reads hit at zero disk cost.
-        f.read_at(16, 16).unwrap();
-        let (_, r2) = f.read_at(32, 16).unwrap();
-        assert_eq!(r2.cache.hit_blocks, 1, "readahead should have prefetched");
-        assert_eq!(r2.disk_ns, 0);
-        let (_, r3) = f.read_at(48, 16).unwrap();
-        assert_eq!(r3.cache.hit_blocks, 1);
-    }
-
-    #[test]
-    fn no_readahead_on_random_misses() {
-        let mut cfg = CacheConfig::tiny(64);
-        cfg.readahead_blocks = 4;
-        let mut f = LocalFile::new(cfg, DiskModel::paper_default());
-        f.read_at(1000, 16).unwrap();
-        let (_, r) = f.read_at(0, 16).unwrap(); // jump: random
-        assert_eq!(r.cache.miss_blocks, 1);
-        // A block near neither access was not prefetched.
-        let (_, r2) = f.read_at(512, 16).unwrap();
-        assert_eq!(r2.cache.miss_blocks, 1);
-    }
-
-    #[test]
     fn truncate_zeroes_tail() {
-        let mut f = LocalFile::with_defaults();
+        let mut f = LocalFile::in_memory();
         f.write_at(0, &[5u8; 100]).unwrap();
         f.truncate(50).unwrap();
         assert_eq!(f.size(), 50);
-        let (d, _) = f.read_at(40, 20).unwrap();
+        let d = f.read_at(40, 20).unwrap();
         assert_eq!(&d[..10], &[5u8; 10]);
         assert_eq!(&d[10..], &[0u8; 10]);
     }
 
     #[test]
-    fn write_batch_merges_per_run_costs() {
-        let mut f = small_file();
-        let r = f.write_batch(&[(0, &[1u8; 16]), (64, &[2u8; 32])]).unwrap();
-        assert_eq!(r.bytes_written, 48);
+    fn write_batch_applies_every_run() {
+        let mut f = LocalFile::in_memory();
+        f.write_batch(&[(0, &[1u8; 16]), (64, &[2u8; 32])]).unwrap();
         assert_eq!(f.size(), 96);
-        assert_eq!(f.peek_vec(0, 16), vec![1u8; 16]);
-        assert_eq!(f.peek_vec(64, 32), vec![2u8; 32]);
+        assert_eq!(f.read_at(0, 16).unwrap(), vec![1u8; 16]);
+        assert_eq!(f.read_at(64, 32).unwrap(), vec![2u8; 32]);
+        assert_eq!(f.write_version(), 1, "one batch is one mutation");
     }
 
     #[test]
     fn digest_chunks_cover_the_tail_and_track_writes() {
-        let mut f = LocalFile::with_defaults();
+        let mut f = LocalFile::in_memory();
         assert_eq!(f.write_version(), 0);
         assert_eq!(f.digest_chunks(16).unwrap(), (0, vec![]));
         f.write_at(0, &[1u8; 40]).unwrap();
@@ -498,11 +177,9 @@ mod tests {
 
     #[test]
     fn memory_backend_sync_reports_nothing_durable() {
-        let mut f = small_file();
+        let mut f = LocalFile::in_memory();
         f.write_at(0, &[1u8; 64]).unwrap();
-        let (durable, report) = f.sync().unwrap();
-        assert_eq!(durable, 0);
-        assert!(report.disk_ns > 0, "sync flushes dirty cache blocks");
+        assert_eq!(f.sync().unwrap(), 0);
         assert_eq!(f.backend().durable_bytes(), 0);
         assert!(f.backend().resident_bytes() > 0);
     }

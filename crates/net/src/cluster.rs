@@ -125,7 +125,7 @@ static NEXT_STORAGE_RUN: AtomicU64 = AtomicU64::new(0);
 
 impl LiveCluster {
     /// Spawn a cluster with `n_servers` I/O daemons (ids `0..n`) using
-    /// paper-default disk and cache models and the default worker pool.
+    /// the default worker pool.
     pub fn spawn(n_servers: u32) -> LiveCluster {
         LiveCluster::spawn_with(n_servers, IodConfig::default())
     }
@@ -374,7 +374,7 @@ fn spawn_chan_server(daemon: Arc<IoDaemon>, config: IodConfig) -> (Sender<NodeMs
                 }
                 let served_at = Instant::now();
                 let (id, response) =
-                    serve_frame(frame, |req, ctx| daemon.handle_traced(req, ctx, waited).0);
+                    serve_frame(frame, |req, ctx| daemon.handle_traced(req, ctx, waited));
                 // Emulated service time occupies the worker, the way a
                 // blocking disk access would; replies only after the
                 // stall.

@@ -116,17 +116,15 @@ impl TcpServer {
                     let reply = (worker_hooks.serve)(frame, waited);
                     if !scrape {
                         (worker_hooks.on_end)(served_at.elapsed());
+                        // Count the reply before writing it: a client
+                        // that already holds its reply must see it in
+                        // bytes_tx.
+                        (worker_hooks.on_tx)(wire_len(&reply));
                     }
                     // Whole-frame writes under the connection's write
                     // lock: pipelined responses interleave per frame.
                     let mut w = writer.lock().unwrap();
-                    if write_frame(&mut *w, &reply)
-                        .and_then(|()| w.flush())
-                        .is_ok()
-                        && !scrape
-                    {
-                        (worker_hooks.on_tx)(wire_len(&reply));
-                    }
+                    let _ = write_frame(&mut *w, &reply).and_then(|()| w.flush());
                     ControlFlow::Continue(())
                 }
                 TcpMsg::Shutdown => ControlFlow::Break(()),
@@ -267,13 +265,9 @@ fn spawn_reader(
                                 let err = hooks.shed.as_ref().expect("checked above")();
                                 let id = decode_frame_id(&frame).unwrap_or(RequestId(0));
                                 let reply = encode_response(id, &Response::Error(err));
+                                (hooks.on_tx)(wire_len(&reply));
                                 let mut w = writer.lock().unwrap();
-                                if write_frame(&mut *w, &reply)
-                                    .and_then(|()| w.flush())
-                                    .is_ok()
-                                {
-                                    (hooks.on_tx)(wire_len(&reply));
-                                }
+                                let _ = write_frame(&mut *w, &reply).and_then(|()| w.flush());
                             }
                             Err(TrySendError::Full(TcpMsg::Shutdown)) => {
                                 unreachable!("reader only sends Rpc frames")
@@ -286,13 +280,9 @@ fn spawn_reader(
                         // to know why it is being dropped. Id 0: the
                         // header was never read.
                         let reply = encode_response(RequestId(0), &Response::Error(e));
+                        (hooks.on_tx)(wire_len(&reply));
                         let mut w = writer.lock().unwrap();
-                        if write_frame(&mut *w, &reply)
-                            .and_then(|()| w.flush())
-                            .is_ok()
-                        {
-                            (hooks.on_tx)(wire_len(&reply));
-                        }
+                        let _ = write_frame(&mut *w, &reply).and_then(|()| w.flush());
                         let _ = w.shutdown(Shutdown::Both);
                         break;
                     }
@@ -333,7 +323,7 @@ impl TcpCluster {
                     ServeHooks {
                         serve: Box::new(move |frame, waited| {
                             let (id, response) = serve_frame(frame, |req, ctx| {
-                                serve_daemon.handle_traced(req, ctx, waited).0
+                                serve_daemon.handle_traced(req, ctx, waited)
                             });
                             // Emulated service time occupies the worker,
                             // the way a blocking disk access would.

@@ -762,7 +762,6 @@ fn full_queue_sheds_and_retries_absorb(kind: TransportKind) {
         workers: 1,
         queue_depth: 1,
         emulated_latency: Some(Duration::from_millis(20)),
-        ..IodConfig::default()
     };
     let cluster = LiveCluster::spawn_transport(1, config, kind);
     let l = layout(1);

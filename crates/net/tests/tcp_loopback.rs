@@ -100,7 +100,7 @@ fn wire_bytes_count_the_length_prefix() {
     })
     .unwrap();
     let wire = 4 + frame.len() as u64;
-    transport
+    let reply = transport
         .start(RpcTarget::Server(ServerId(0)), frame)
         .unwrap()
         .wait(Duration::from_secs(5))
@@ -108,20 +108,43 @@ fn wire_bytes_count_the_length_prefix() {
     let stats = daemons[0].stats();
     assert_eq!(stats.frames_rx, 1);
     assert_eq!(stats.bytes_rx, wire);
-    // The worker records bytes_tx *after* the response hits the socket,
-    // so the client can observe the reply a beat before the counter
-    // lands — poll briefly instead of racing it.
-    let deadline = Instant::now() + Duration::from_secs(2);
-    loop {
-        let tx = daemons[0].stats().bytes_tx;
-        if tx > 4 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "response accounting must include its prefix (bytes_tx = {tx})"
+    assert_eq!(
+        stats.bytes_tx,
+        4 + reply.len() as u64,
+        "response accounting must include its prefix"
+    );
+}
+
+/// The server counts a reply in `bytes_tx` before writing it, so a
+/// client that already holds its reply never reads a counter that
+/// misses it. Many back-to-back RPCs, each followed at once by a stats
+/// read, to catch the race if the order ever flips back.
+#[test]
+fn bytes_tx_already_counts_the_reply_a_client_holds() {
+    let daemons = vec![Arc::new(IoDaemon::new(ServerId(0), IodConfig::default()))];
+    let tcp = TcpCluster::spawn(&daemons, IodConfig::default());
+    let transport = TcpTransport::new(tcp.server_addrs(), tcp.mgr_addr());
+    let mut expected = 0;
+    for i in 1..=500u64 {
+        let frame = encode_message(&Message {
+            client: ClientId(1),
+            id: RequestId(i),
+            request: Request::GetLocalSize {
+                handle: FileHandle(1),
+            },
+        })
+        .unwrap();
+        let reply = transport
+            .start(RpcTarget::Server(ServerId(0)), frame)
+            .unwrap()
+            .wait(Duration::from_secs(5))
+            .unwrap();
+        expected += 4 + reply.len() as u64;
+        assert_eq!(
+            daemons[0].stats().bytes_tx,
+            expected,
+            "rpc {i}: bytes_tx misses a reply the client already holds"
         );
-        std::thread::yield_now();
     }
 }
 

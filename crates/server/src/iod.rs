@@ -7,17 +7,13 @@
 //! carry striping metadata, §3.3) and never sees other servers' bytes.
 //!
 //! The daemon is a pure state machine: [`IoDaemon::handle`] consumes a
-//! request, mutates local state, and returns the response together with
-//! a [`ServeCost`] — counts and disk time the simulator converts into
-//! virtual CPU/disk time. List requests additionally report how many
-//! file regions they carried, because per-region processing is a real
-//! cost the paper's analysis (§3.4) calls out.
+//! request, mutates local state, and returns the response. It serves
+//! bytes only; what serving them would cost on the paper's hardware is
+//! the simulator's business (`pvfs-simcluster` charges its own cost
+//! model with the same local runs, from [`StripeLayout::local_runs`]).
 
 use bytes::Bytes;
-use pvfs_disk::{
-    CacheConfig, CostReport, CrashPoint, DiskModel, FileStore, LocalFile, StorageConfig,
-    StorageMetrics,
-};
+use pvfs_disk::{CrashPoint, FileStore, LocalFile, StorageConfig, StorageMetrics};
 use pvfs_proto::{Request, Response};
 use pvfs_types::trace::{self, FlightRecorder, Span, SpanId, TraceContext};
 use pvfs_types::{
@@ -32,10 +28,6 @@ use std::time::Duration;
 /// Static configuration for one I/O daemon.
 #[derive(Debug, Clone, Copy)]
 pub struct IodConfig {
-    /// Buffer-cache parameters for each local file.
-    pub cache: CacheConfig,
-    /// Disk timing model.
-    pub disk: DiskModel,
     /// Worker threads serving this daemon's request queue on the live
     /// path ([`crate::IoDaemon::handle`] takes `&self`, so workers serve
     /// concurrently; requests for different handles never contend).
@@ -48,7 +40,7 @@ pub struct IodConfig {
     /// standing in for the disk + network service time of a real I/O
     /// daemon (the latency a worker pool overlaps). `None` — the
     /// default — serves at memory speed. The simulator ignores this; it
-    /// accounts time through [`ServeCost`] instead.
+    /// accounts time through its own cost model instead.
     pub emulated_latency: Option<std::time::Duration>,
 }
 
@@ -62,31 +54,10 @@ pub fn default_workers() -> usize {
 impl Default for IodConfig {
     fn default() -> Self {
         IodConfig {
-            cache: CacheConfig::paper_default(),
-            disk: DiskModel::paper_default(),
             workers: default_workers(),
             queue_depth: 64,
             emulated_latency: None,
         }
-    }
-}
-
-/// Cost counters for one served request.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeCost {
-    /// File regions processed (0 for metadata/size ops, 1 for contiguous
-    /// I/O, the trailing-data count for list I/O).
-    pub regions: u64,
-    /// Stripe-aligned local accesses performed.
-    pub local_accesses: u64,
-    /// Disk/cache outcome.
-    pub disk: CostReport,
-}
-
-impl ServeCost {
-    fn merge_disk(&mut self, r: CostReport) {
-        self.disk.merge(r);
-        self.local_accesses += 1;
     }
 }
 
@@ -248,7 +219,7 @@ impl IoDaemon {
         }
     }
 
-    /// A daemon with paper-default cache and disk.
+    /// A daemon with the default configuration.
     pub fn with_defaults(id: ServerId) -> IoDaemon {
         IoDaemon::new(id, IodConfig::default())
     }
@@ -313,17 +284,6 @@ impl IoDaemon {
     /// Drop all state for a handle (file removal plumbing).
     pub fn drop_handle(&self, handle: FileHandle) {
         self.shard(handle).lock().unwrap().remove(&handle);
-    }
-
-    /// Flush a handle's dirty cache blocks (maintenance entry point for
-    /// benchmark setup; returns the disk cost of the write-back).
-    pub fn flush_handle(&self, handle: FileHandle) -> CostReport {
-        self.shard(handle)
-            .lock()
-            .unwrap()
-            .get_mut(&handle)
-            .map(|f| f.flush())
-            .unwrap_or_default()
     }
 
     /// Account one request frame arriving on this daemon's transport
@@ -436,44 +396,32 @@ impl IoDaemon {
 
     /// Serve one request. `&self`: safe to call from many threads at
     /// once.
-    pub fn handle(&self, request: &Request) -> (Response, ServeCost) {
+    pub fn handle(&self, request: &Request) -> Response {
         // Stats scrapes answer before any counter moves: a monitoring
         // poll must observe the daemon, not perturb it, so the snapshot
         // a client scrapes equals the in-process snapshot byte for
         // byte. ResetStats hands back the counters it is about to zero.
         match request {
-            Request::GetStats => {
-                return (
-                    Response::Stats(Box::new(self.stats_snapshot())),
-                    ServeCost::default(),
-                );
-            }
+            Request::GetStats => return Response::Stats(Box::new(self.stats_snapshot())),
             Request::ResetStats => {
                 let snap = self.stats_snapshot();
                 self.reset_stats();
-                return (Response::Stats(Box::new(snap)), ServeCost::default());
+                return Response::Stats(Box::new(snap));
             }
             Request::GetTrace { trace } => {
                 // Same contract as GetStats: answer before any counter
                 // moves, and reading the ring clones spans without
                 // consuming or reordering them — scraping a trace never
                 // perturbs it.
-                return (
-                    Response::Spans(self.recorder.for_trace(*trace)),
-                    ServeCost::default(),
-                );
+                return Response::Spans(self.recorder.for_trace(*trace));
             }
             _ => {}
         }
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let result = self.dispatch(request);
-        match result {
-            Ok(ok) => ok,
-            Err(e) => {
-                self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                (Response::Error(e), ServeCost::default())
-            }
-        }
+        self.dispatch(request).unwrap_or_else(|e| {
+            self.stats.errors.fetch_add(1, Ordering::Relaxed);
+            Response::Error(e)
+        })
     }
 
     /// Serve one request that arrived on a transport, recording its
@@ -489,7 +437,7 @@ impl IoDaemon {
         request: &Request,
         ctx: Option<TraceContext>,
         waited: Duration,
-    ) -> (Response, ServeCost) {
+    ) -> Response {
         let Some(ctx) = ctx else {
             return self.handle(request);
         };
@@ -528,7 +476,7 @@ impl IoDaemon {
         result
     }
 
-    fn dispatch(&self, request: &Request) -> Result<(Response, ServeCost), PvfsError> {
+    fn dispatch(&self, request: &Request) -> Result<Response, PvfsError> {
         match request {
             Request::GetLocalSize { handle } => {
                 let mut shard = self.shard(*handle).lock().unwrap();
@@ -542,7 +490,7 @@ impl IoDaemon {
                     }
                     None => 0,
                 };
-                Ok((Response::LocalSize { size }, ServeCost::default()))
+                Ok(Response::LocalSize { size })
             }
             Request::Read {
                 handle,
@@ -553,24 +501,18 @@ impl IoDaemon {
                     .contiguous_requests
                     .fetch_add(1, Ordering::Relaxed);
                 let slot = self.slot_in(layout)?;
-                let mut cost = ServeCost {
-                    regions: 1,
-                    ..ServeCost::default()
-                };
+                let mut data = Vec::new();
                 let mut shard = self.shard(*handle).lock().unwrap();
                 let file = self.file_entry(&mut shard, *handle)?;
-                let data = read_region(file, layout, slot, *region, &mut cost)?;
+                read_region(file, layout, slot, *region, &mut data)?;
                 drop(shard);
                 self.stats.regions.fetch_add(1, Ordering::Relaxed);
                 self.stats
                     .bytes_read
                     .fetch_add(data.len() as u64, Ordering::Relaxed);
-                Ok((
-                    Response::Data {
-                        data: Bytes::from(data),
-                    },
-                    cost,
-                ))
+                Ok(Response::Data {
+                    data: Bytes::from(data),
+                })
             }
             Request::Write {
                 handle,
@@ -589,23 +531,19 @@ impl IoDaemon {
                         data.len()
                     )));
                 }
-                let mut cost = ServeCost {
-                    regions: 1,
-                    ..ServeCost::default()
-                };
                 let mut consumed = 0usize;
                 let mut runs = Vec::new();
                 plan_region_runs(layout, slot, *region, data, &mut consumed, &mut runs);
                 let written = consumed as u64;
                 let mut shard = self.shard(*handle).lock().unwrap();
                 let file = self.file_entry(&mut shard, *handle)?;
-                apply_batch(file, &runs, &mut cost)?;
+                apply_batch(file, &runs)?;
                 drop(shard);
                 self.stats.regions.fetch_add(1, Ordering::Relaxed);
                 self.stats
                     .bytes_written
                     .fetch_add(written, Ordering::Relaxed);
-                Ok((Response::Written { bytes: written }, cost))
+                Ok(Response::Written { bytes: written })
             }
             Request::ReadList {
                 handle,
@@ -615,16 +553,11 @@ impl IoDaemon {
                 self.stats.list_requests.fetch_add(1, Ordering::Relaxed);
                 self.check_list(regions)?;
                 let slot = self.slot_in(layout)?;
-                let mut cost = ServeCost {
-                    regions: regions.count() as u64,
-                    ..ServeCost::default()
-                };
                 let mut out = Vec::new();
                 let mut shard = self.shard(*handle).lock().unwrap();
                 let file = self.file_entry(&mut shard, *handle)?;
                 for region in regions {
-                    let piece = read_region(file, layout, slot, *region, &mut cost)?;
-                    out.extend_from_slice(&piece);
+                    read_region(file, layout, slot, *region, &mut out)?;
                 }
                 drop(shard);
                 self.stats
@@ -633,12 +566,9 @@ impl IoDaemon {
                 self.stats
                     .bytes_read
                     .fetch_add(out.len() as u64, Ordering::Relaxed);
-                Ok((
-                    Response::Data {
-                        data: Bytes::from(out),
-                    },
-                    cost,
-                ))
+                Ok(Response::Data {
+                    data: Bytes::from(out),
+                })
             }
             Request::WriteList {
                 handle,
@@ -656,10 +586,6 @@ impl IoDaemon {
                         data.len()
                     )));
                 }
-                let mut cost = ServeCost {
-                    regions: regions.count() as u64,
-                    ..ServeCost::default()
-                };
                 // Plan every region's local runs first, then commit them
                 // as ONE batch: on the durable backend the whole
                 // ⌈n/64⌉-region list write is a single journal record,
@@ -672,7 +598,7 @@ impl IoDaemon {
                 let written = consumed as u64;
                 let mut shard = self.shard(*handle).lock().unwrap();
                 let file = self.file_entry(&mut shard, *handle)?;
-                apply_batch(file, &runs, &mut cost)?;
+                apply_batch(file, &runs)?;
                 drop(shard);
                 self.stats
                     .regions
@@ -680,7 +606,7 @@ impl IoDaemon {
                 self.stats
                     .bytes_written
                     .fetch_add(written, Ordering::Relaxed);
-                Ok((Response::Written { bytes: written }, cost))
+                Ok(Response::Written { bytes: written })
             }
             Request::ReadVectors {
                 handle,
@@ -692,30 +618,24 @@ impl IoDaemon {
                 for run in runs {
                     run.validate()?;
                 }
-                let mut cost = ServeCost::default();
+                let mut regions = 0u64;
                 let mut out = Vec::new();
                 let mut shard = self.shard(*handle).lock().unwrap();
                 let file = self.file_entry(&mut shard, *handle)?;
                 for run in runs {
                     for region in run.regions() {
-                        cost.regions += 1;
-                        let piece = read_region(file, layout, slot, region, &mut cost)?;
-                        out.extend_from_slice(&piece);
+                        regions += 1;
+                        read_region(file, layout, slot, region, &mut out)?;
                     }
                 }
                 drop(shard);
-                self.stats
-                    .regions
-                    .fetch_add(cost.regions, Ordering::Relaxed);
+                self.stats.regions.fetch_add(regions, Ordering::Relaxed);
                 self.stats
                     .bytes_read
                     .fetch_add(out.len() as u64, Ordering::Relaxed);
-                Ok((
-                    Response::Data {
-                        data: Bytes::from(out),
-                    },
-                    cost,
-                ))
+                Ok(Response::Data {
+                    data: Bytes::from(out),
+                })
             }
             Request::WriteVectors {
                 handle,
@@ -739,66 +659,54 @@ impl IoDaemon {
                         data.len()
                     )));
                 }
-                let mut cost = ServeCost::default();
+                let mut regions = 0u64;
                 let mut consumed = 0usize;
                 let mut wruns = Vec::new();
                 for run in runs {
                     for region in run.regions() {
-                        cost.regions += 1;
+                        regions += 1;
                         plan_region_runs(layout, slot, region, data, &mut consumed, &mut wruns);
                     }
                 }
                 let written = consumed as u64;
                 let mut shard = self.shard(*handle).lock().unwrap();
                 let file = self.file_entry(&mut shard, *handle)?;
-                apply_batch(file, &wruns, &mut cost)?;
+                apply_batch(file, &wruns)?;
                 drop(shard);
-                self.stats
-                    .regions
-                    .fetch_add(cost.regions, Ordering::Relaxed);
+                self.stats.regions.fetch_add(regions, Ordering::Relaxed);
                 self.stats
                     .bytes_written
                     .fetch_add(written, Ordering::Relaxed);
-                Ok((Response::Written { bytes: written }, cost))
+                Ok(Response::Written { bytes: written })
             }
             Request::Sync { handle } => {
                 // A durability barrier on a handle this daemon has never
                 // touched has nothing to persist: answer durable=0
                 // without creating local state for the handle.
-                let mut cost = ServeCost::default();
                 let mut shard = self.shard(*handle).lock().unwrap();
                 let durable = match shard.get_mut(handle) {
-                    Some(file) => {
-                        let (durable, report) = file.sync()?;
-                        cost.merge_disk(report);
-                        durable
-                    }
+                    Some(file) => file.sync()?,
                     // After a restart the handle's bytes may already sit
                     // on disk: recover the store so the barrier reports
                     // what is actually durable.
                     None if self.handle_on_disk(*handle) => {
-                        let file = self.file_entry(&mut shard, *handle)?;
-                        let (durable, report) = file.sync()?;
-                        cost.merge_disk(report);
-                        durable
+                        self.file_entry(&mut shard, *handle)?.sync()?
                     }
                     None => 0,
                 };
                 drop(shard);
-                Ok((Response::Synced { durable }, cost))
+                Ok(Response::Synced { durable })
             }
             Request::Flush => {
-                let mut cost = ServeCost::default();
                 let mut files = 0u64;
                 for shard in &self.shards {
                     let mut shard = shard.lock().unwrap();
                     for file in shard.values_mut() {
-                        let (_, report) = file.sync()?;
-                        cost.merge_disk(report);
+                        file.sync()?;
                         files += 1;
                     }
                 }
-                Ok((Response::Flushed { files }, cost))
+                Ok(Response::Flushed { files })
             }
             Request::StripeDigest { handle, chunk } => {
                 // Anti-entropy: checksum this daemon's local bytes for
@@ -827,14 +735,11 @@ impl IoDaemon {
                     None => (0, 0, Vec::new()),
                 };
                 drop(shard);
-                Ok((
-                    Response::Digests {
-                        version,
-                        size,
-                        chunks,
-                    },
-                    ServeCost::default(),
-                ))
+                Ok(Response::Digests {
+                    version,
+                    size,
+                    chunks,
+                })
             }
             Request::Truncate { handle, size } => {
                 // Repair shrink: cut a stale replica back to its source's
@@ -855,7 +760,7 @@ impl IoDaemon {
                     None => 0,
                 };
                 drop(shard);
-                Ok((Response::LocalSize { size: local }, ServeCost::default()))
+                Ok(Response::LocalSize { size: local })
             }
             Request::Ping => {
                 // The cheapest possible round trip, and deliberately an
@@ -863,12 +768,9 @@ impl IoDaemon {
                 // success are the health signal the client's failure
                 // detector feeds on. The reply carries the live
                 // queue-depth gauge so a prober sees congestion build.
-                Ok((
-                    Response::Pong {
-                        queue_depth: self.inflight.load(Ordering::Relaxed),
-                    },
-                    ServeCost::default(),
-                ))
+                Ok(Response::Pong {
+                    queue_depth: self.inflight.load(Ordering::Relaxed),
+                })
             }
             other if other.is_metadata() => Err(PvfsError::protocol(format!(
                 "metadata operation {} sent to an I/O daemon",
@@ -927,15 +829,11 @@ impl IoDaemon {
             Entry::Occupied(e) => Ok(e.into_mut()),
             Entry::Vacant(v) => {
                 let file = match &self.storage {
-                    StorageConfig::Mem => LocalFile::new(self.config.cache, self.config.disk),
+                    StorageConfig::Mem => LocalFile::in_memory(),
                     StorageConfig::File { dir, sync } => {
                         let store =
                             FileStore::open(dir, handle.0, *sync, Arc::clone(&self.smetrics))?;
-                        LocalFile::with_backend(
-                            self.config.cache,
-                            self.config.disk,
-                            Box::new(store),
-                        )
+                        LocalFile::with_backend(Box::new(store))
                     }
                 };
                 Ok(v.insert(file))
@@ -957,57 +855,29 @@ impl IoDaemon {
     }
 }
 
-/// Read this server's bytes of a logical region, in logical order.
-///
-/// Consecutive stripes a slot owns are packed contiguously in its
-/// local file, so a logical region spanning many of this server's
-/// stripes is read as a *single* local access (one lseek + read),
-/// exactly as the PVFS iod does — and `cost.local_accesses` counts
-/// these merged runs, the unit the simulator charges per-access
-/// server time for.
+/// Append this server's bytes of a logical region to `out`, in logical
+/// order: one local access per merged run of [`StripeLayout::local_runs`],
+/// exactly as the PVFS iod does.
 fn read_region(
-    file: &mut LocalFile,
+    file: &LocalFile,
     layout: &StripeLayout,
     slot: u32,
     region: Region,
-    cost: &mut ServeCost,
-) -> PvfsResult<Vec<u8>> {
+    out: &mut Vec<u8>,
+) -> PvfsResult<()> {
     let started = std::time::Instant::now();
-    let mut out = Vec::with_capacity(layout.bytes_on_slot(region, slot) as usize);
-    let mut run: Option<(u64, u64)> = None; // (local offset, len)
-    for seg in layout.segments(region) {
-        if seg.slot != slot {
-            continue;
-        }
-        match run {
-            Some((start, len)) if start + len == seg.local_offset => {
-                run = Some((start, len + seg.logical.len));
-            }
-            Some((start, len)) => {
-                let (piece, report) = file.read_at(start, len as usize)?;
-                cost.merge_disk(report);
-                out.extend_from_slice(&piece);
-                run = Some((seg.local_offset, seg.logical.len));
-            }
-            None => run = Some((seg.local_offset, seg.logical.len)),
-        }
-    }
-    if let Some((start, len)) = run {
-        let (piece, report) = file.read_at(start, len as usize)?;
-        cost.merge_disk(report);
-        out.extend_from_slice(&piece);
+    for run in layout.local_runs(region, slot) {
+        out.extend_from_slice(&file.read_at(run.offset, run.len as usize)?);
     }
     // Per-region calls aggregate into one storage:read span per traced
     // request; a no-op when no sink is active on this thread.
     trace::sink_add("storage:read", started.elapsed());
-    Ok(out)
+    Ok(())
 }
 
 /// Plan this server's merged local runs of one logical region: each
 /// planned run is `(local offset, payload)` with the payload consumed
-/// from `data` in logical order starting at `*consumed`. Consecutive
-/// local stripes merge into single runs exactly as reads do — the run
-/// count is what the simulator charges per-access server time for.
+/// from `data` in logical order starting at `*consumed`.
 fn plan_region_runs(
     layout: &StripeLayout,
     slot: u32,
@@ -1016,43 +886,21 @@ fn plan_region_runs(
     consumed: &mut usize,
     runs: &mut Vec<(u64, Bytes)>,
 ) {
-    let mut run: Option<(u64, u64)> = None;
-    for seg in layout.segments(region) {
-        if seg.slot != slot {
-            continue;
-        }
-        match run {
-            Some((start, len)) if start + len == seg.local_offset => {
-                run = Some((start, len + seg.logical.len));
-            }
-            Some((start, len)) => {
-                runs.push((start, data.slice(*consumed..*consumed + len as usize)));
-                *consumed += len as usize;
-                run = Some((seg.local_offset, seg.logical.len));
-            }
-            None => run = Some((seg.local_offset, seg.logical.len)),
-        }
-    }
-    if let Some((start, len)) = run {
-        runs.push((start, data.slice(*consumed..*consumed + len as usize)));
-        *consumed += len as usize;
+    for run in layout.local_runs(region, slot) {
+        let len = run.len as usize;
+        runs.push((run.offset, data.slice(*consumed..*consumed + len)));
+        *consumed += len;
     }
 }
 
 /// Commit planned runs to a local file as one all-or-nothing batch.
-fn apply_batch(
-    file: &mut LocalFile,
-    runs: &[(u64, Bytes)],
-    cost: &mut ServeCost,
-) -> PvfsResult<()> {
+fn apply_batch(file: &mut LocalFile, runs: &[(u64, Bytes)]) -> PvfsResult<()> {
     if runs.is_empty() {
         return Ok(());
     }
     let started = std::time::Instant::now();
     let refs: Vec<(u64, &[u8])> = runs.iter().map(|(o, d)| (*o, d.as_ref())).collect();
-    let report = file.write_batch(&refs)?;
-    cost.disk.merge(report);
-    cost.local_accesses += runs.len() as u64;
+    file.write_batch(&refs)?;
     trace::sink_add("storage:write", started.elapsed());
     Ok(())
 }
@@ -1087,7 +935,7 @@ mod tests {
             if share.is_empty() {
                 continue;
             }
-            let (resp, _) = d.handle(&Request::Write {
+            let resp = d.handle(&Request::Write {
                 handle: fh(),
                 layout: *l,
                 region,
@@ -1107,7 +955,7 @@ mod tests {
         let mut out = vec![0u8; region.len as usize];
         for d in daemons.iter_mut() {
             let slot = d.id().0 - l.base;
-            let (resp, _) = d.handle(&Request::Read {
+            let resp = d.handle(&Request::Read {
                 handle: fh(),
                 layout: *l,
                 region,
@@ -1150,7 +998,7 @@ mod tests {
     fn read_of_unwritten_range_returns_zeros() {
         let l = layout();
         let d = IoDaemon::with_defaults(ServerId(0));
-        let (resp, _) = d.handle(&Request::Read {
+        let resp = d.handle(&Request::Read {
             handle: fh(),
             layout: l,
             region: Region::new(0, 10),
@@ -1168,7 +1016,7 @@ mod tests {
         let l = layout();
         let d = IoDaemon::with_defaults(ServerId(1));
         // Region [0, 40) spans all four servers; server 1 owns [10, 20).
-        let (resp, _) = d.handle(&Request::Read {
+        let resp = d.handle(&Request::Read {
             handle: fh(),
             layout: l,
             region: Region::new(0, 40),
@@ -1183,7 +1031,7 @@ mod tests {
     fn write_with_wrong_payload_size_is_rejected() {
         let l = layout();
         let d = IoDaemon::with_defaults(ServerId(0));
-        let (resp, _) = d.handle(&Request::Write {
+        let resp = d.handle(&Request::Write {
             handle: fh(),
             layout: l,
             region: Region::new(0, 10),
@@ -1197,7 +1045,7 @@ mod tests {
     fn misrouted_request_is_rejected() {
         let l = StripeLayout::new(0, 2, 10).unwrap();
         let d = IoDaemon::with_defaults(ServerId(5)); // not in layout
-        let (resp, _) = d.handle(&Request::Read {
+        let resp = d.handle(&Request::Read {
             handle: fh(),
             layout: l,
             region: Region::new(0, 10),
@@ -1208,7 +1056,7 @@ mod tests {
     #[test]
     fn metadata_op_at_iod_is_rejected() {
         let d = IoDaemon::with_defaults(ServerId(0));
-        let (resp, _) = d.handle(&Request::Open { path: "/x".into() });
+        let resp = d.handle(&Request::Open { path: "/x".into() });
         assert!(matches!(resp, Response::Error(PvfsError::Protocol(_))));
     }
 
@@ -1220,7 +1068,8 @@ mod tests {
         write_all(&mut daemons, &l, 0, &data);
         // Regions [12,16) and [2,6): server 0 owns [2,6); server 1 owns [12,16).
         let regions = RegionList::from_pairs([(12, 4), (2, 4)]).unwrap();
-        let (resp, cost) = daemons[0].handle(&Request::ReadList {
+        let before = daemons[0].stats().regions;
+        let resp = daemons[0].handle(&Request::ReadList {
             handle: fh(),
             layout: l,
             regions: regions.clone(),
@@ -1231,8 +1080,8 @@ mod tests {
                 data: Bytes::from(vec![2, 3, 4, 5])
             }
         );
-        assert_eq!(cost.regions, 2);
-        let (resp, _) = daemons[1].handle(&Request::ReadList {
+        assert_eq!(daemons[0].stats().regions - before, 2);
+        let resp = daemons[1].handle(&Request::ReadList {
             handle: fh(),
             layout: l,
             regions,
@@ -1252,16 +1101,16 @@ mod tests {
         // Both regions live entirely on server 0 (first stripe is [0,10)
         // and stripe 4 is [40,50)).
         let regions = RegionList::from_pairs([(40, 5), (0, 5)]).unwrap();
-        let (resp, cost) = d.handle(&Request::WriteList {
+        let resp = d.handle(&Request::WriteList {
             handle: fh(),
             layout: l,
             regions,
             data: Bytes::from(vec![1, 1, 1, 1, 1, 2, 2, 2, 2, 2]),
         });
         assert_eq!(resp, Response::Written { bytes: 10 });
-        assert_eq!(cost.regions, 2);
+        assert_eq!(d.stats().regions, 2);
         // Verify list-order consumption: [40,45) got 1s, [0,5) got 2s.
-        let (resp, _) = d.handle(&Request::Read {
+        let resp = d.handle(&Request::Read {
             handle: fh(),
             layout: l,
             region: Region::new(40, 5),
@@ -1272,7 +1121,7 @@ mod tests {
                 data: Bytes::from(vec![1u8; 5])
             }
         );
-        let (resp, _) = d.handle(&Request::Read {
+        let resp = d.handle(&Request::Read {
             handle: fh(),
             layout: l,
             region: Region::new(0, 5),
@@ -1290,7 +1139,7 @@ mod tests {
         let l = layout();
         let d = IoDaemon::with_defaults(ServerId(0));
         let regions = RegionList::from_pairs((0..65).map(|i| (i * 100, 1u64))).unwrap();
-        let (resp, _) = d.handle(&Request::ReadList {
+        let resp = d.handle(&Request::ReadList {
             handle: fh(),
             layout: l,
             regions,
@@ -1302,7 +1151,7 @@ mod tests {
     fn get_local_size_tracks_writes() {
         let l = layout();
         let d = IoDaemon::with_defaults(ServerId(0));
-        let (resp, _) = d.handle(&Request::GetLocalSize { handle: fh() });
+        let resp = d.handle(&Request::GetLocalSize { handle: fh() });
         assert_eq!(resp, Response::LocalSize { size: 0 });
         d.handle(&Request::Write {
             handle: fh(),
@@ -1310,7 +1159,7 @@ mod tests {
             region: Region::new(0, 7),
             data: Bytes::from(vec![0u8; 7]),
         });
-        let (resp, _) = d.handle(&Request::GetLocalSize { handle: fh() });
+        let resp = d.handle(&Request::GetLocalSize { handle: fh() });
         assert_eq!(resp, Response::LocalSize { size: 7 });
     }
 
@@ -1345,8 +1194,7 @@ mod tests {
             layout: l,
             region: Region::new(0, 5),
         });
-        let (resp, cost) = d.handle(&Request::GetStats);
-        assert_eq!(cost, ServeCost::default());
+        let resp = d.handle(&Request::GetStats);
         let snap = match resp {
             Response::Stats(s) => s,
             other => panic!("unexpected {other:?}"),
@@ -1356,7 +1204,7 @@ mod tests {
         assert_eq!(snap.bytes_read, 5);
         assert_eq!(snap.workers, d.config().workers as u64);
         // Scraping again changes nothing: the probe is invisible.
-        let (resp, _) = d.handle(&Request::GetStats);
+        let resp = d.handle(&Request::GetStats);
         match resp {
             Response::Stats(s) => assert_eq!(*s, *snap),
             other => panic!("unexpected {other:?}"),
@@ -1395,7 +1243,7 @@ mod tests {
             trace: TraceId::next(),
             parent: SpanId(999),
         };
-        let (resp, _) = d.handle_traced(
+        let resp = d.handle_traced(
             &Request::Write {
                 handle: fh(),
                 layout: l,
@@ -1429,7 +1277,7 @@ mod tests {
     fn untraced_requests_leave_the_recorder_empty() {
         let l = layout();
         let d = IoDaemon::with_defaults(ServerId(0));
-        let (resp, _) = d.handle_traced(
+        let resp = d.handle_traced(
             &Request::Read {
                 handle: fh(),
                 layout: l,
@@ -1461,8 +1309,7 @@ mod tests {
             Duration::ZERO,
         );
         let before = d.stats();
-        let (resp, cost) = d.handle(&Request::GetTrace { trace: ctx.trace });
-        assert_eq!(cost, ServeCost::default());
+        let resp = d.handle(&Request::GetTrace { trace: ctx.trace });
         let spans = match resp {
             Response::Spans(s) => s,
             other => panic!("unexpected {other:?}"),
@@ -1472,7 +1319,7 @@ mod tests {
         // scrape sees the identical span set, and even a scrape carrying
         // trace context records nothing.
         assert_eq!(d.stats(), before, "GetTrace must not count");
-        let (resp2, _) = d.handle_traced(
+        let resp2 = d.handle_traced(
             &Request::GetTrace { trace: ctx.trace },
             Some(TraceContext {
                 trace: TraceId::next(),
@@ -1485,7 +1332,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // Unknown traces answer empty, not an error.
-        let (resp3, _) = d.handle(&Request::GetTrace {
+        let resp3 = d.handle(&Request::GetTrace {
             trace: TraceId(u64::MAX),
         });
         assert_eq!(resp3, Response::Spans(vec![]));
@@ -1495,9 +1342,8 @@ mod tests {
     fn ping_answers_pong_and_counts_as_a_request() {
         let d = IoDaemon::with_defaults(ServerId(0));
         d.note_queued();
-        let (resp, cost) = d.handle(&Request::Ping);
+        let resp = d.handle(&Request::Ping);
         assert_eq!(resp, Response::Pong { queue_depth: 1 });
-        assert_eq!(cost, ServeCost::default());
         // Unlike a stats scrape, a ping is an accounted request: its
         // latency is the health signal, so it must be visible.
         assert_eq!(d.stats().requests, 1);
@@ -1531,7 +1377,7 @@ mod tests {
         });
         d.begin_service(Duration::from_micros(10));
         d.end_service(Duration::from_micros(50));
-        let (resp, _) = d.handle(&Request::ResetStats);
+        let resp = d.handle(&Request::ResetStats);
         let snap = match resp {
             Response::Stats(s) => s,
             other => panic!("unexpected {other:?}"),
@@ -1575,7 +1421,7 @@ mod tests {
             region: Region::new(0, 5),
             data: Bytes::from(vec![9u8; 5]),
         });
-        let (resp, _) = d.handle(&Request::Read {
+        let resp = d.handle(&Request::Read {
             handle: FileHandle(2),
             layout: l,
             region: Region::new(0, 5),
@@ -1599,7 +1445,7 @@ mod tests {
             data: Bytes::from(vec![9u8; 5]),
         });
         d.drop_handle(fh());
-        let (resp, _) = d.handle(&Request::GetLocalSize { handle: fh() });
+        let resp = d.handle(&Request::GetLocalSize { handle: fh() });
         assert_eq!(resp, Response::LocalSize { size: 0 });
     }
 
@@ -1627,7 +1473,8 @@ mod tests {
             stride: 40,
             count: 2,
         }];
-        let (resp, cost) = d.handle(&Request::ReadVectors {
+        let before = d.stats().regions;
+        let resp = d.handle(&Request::ReadVectors {
             handle: fh(),
             layout: l,
             runs,
@@ -1638,7 +1485,7 @@ mod tests {
                 data: Bytes::from(vec![0, 1, 2, 40, 41, 42])
             }
         );
-        assert_eq!(cost.regions, 2);
+        assert_eq!(d.stats().regions - before, 2);
     }
 
     #[test]
@@ -1651,7 +1498,7 @@ mod tests {
             stride: 40,
             count: 3,
         }];
-        let (resp, _) = d.handle(&Request::WriteVectors {
+        let resp = d.handle(&Request::WriteVectors {
             handle: fh(),
             layout: l,
             runs,
@@ -1659,7 +1506,7 @@ mod tests {
         });
         assert_eq!(resp, Response::Written { bytes: 6 });
         for (i, base) in [(1u8, 0u64), (2, 40), (3, 80)] {
-            let (resp, _) = d.handle(&Request::Read {
+            let resp = d.handle(&Request::Read {
                 handle: fh(),
                 layout: l,
                 region: Region::new(base, 2),
@@ -1683,7 +1530,7 @@ mod tests {
             stride: 40,
             count: 3,
         }];
-        let (resp, _) = d.handle(&Request::WriteVectors {
+        let resp = d.handle(&Request::WriteVectors {
             handle: fh(),
             layout: l,
             runs,
@@ -1702,7 +1549,7 @@ mod tests {
             stride: 5, // overlapping blocks
             count: 2,
         }];
-        let (resp, _) = d.handle(&Request::ReadVectors {
+        let resp = d.handle(&Request::ReadVectors {
             handle: fh(),
             layout: l,
             runs,
@@ -1716,11 +1563,10 @@ mod tests {
     #[test]
     fn sync_on_untouched_handle_reports_nothing_durable() {
         let d = IoDaemon::with_defaults(ServerId(0));
-        let (resp, cost) = d.handle(&Request::Sync { handle: fh() });
+        let resp = d.handle(&Request::Sync { handle: fh() });
         assert_eq!(resp, Response::Synced { durable: 0 });
-        assert_eq!(cost, ServeCost::default());
         // And no local state sprang into existence for the handle.
-        let (resp, _) = d.handle(&Request::Flush);
+        let resp = d.handle(&Request::Flush);
         assert_eq!(resp, Response::Flushed { files: 0 });
     }
 
@@ -1736,7 +1582,7 @@ mod tests {
                 data: Bytes::from(vec![7u8; 5]),
             });
         }
-        let (resp, _) = d.handle(&Request::Flush);
+        let resp = d.handle(&Request::Flush);
         assert_eq!(resp, Response::Flushed { files: 3 });
     }
 
@@ -1756,7 +1602,7 @@ mod tests {
             data: Bytes::from((0..10u8).collect::<Vec<_>>()),
         });
         // Nothing synced yet under SyncPolicy::Never...
-        let (resp, _) = d.handle(&Request::Sync { handle: fh() });
+        let resp = d.handle(&Request::Sync { handle: fh() });
         assert_eq!(resp, Response::Synced { durable: 10 });
         // ...and the journal counters surfaced through both stats views.
         let s = d.stats();
@@ -1766,7 +1612,7 @@ mod tests {
         assert_eq!(snap.journal_appends, 1);
         assert_eq!(snap.journal_depth, 0, "sync checkpoints the journal");
         assert_eq!(snap.fsync_time.count(), snap.fsyncs);
-        let (resp, _) = d.handle(&Request::Read {
+        let resp = d.handle(&Request::Read {
             handle: fh(),
             layout: l,
             region: Region::new(0, 10),
@@ -1796,7 +1642,7 @@ mod tests {
         });
         d.inject_storage_crash(fh(), pvfs_disk::CrashPoint::AfterCommit { applied: 0 });
         // Stripe 4 ([40,50)) also belongs to server 0.
-        let (resp, _) = d.handle(&Request::Write {
+        let resp = d.handle(&Request::Write {
             handle: fh(),
             layout: l,
             region: Region::new(40, 10),
@@ -1808,7 +1654,7 @@ mod tests {
         // recovers the committed-but-unapplied batch.
         let d2 = IoDaemon::with_storage(ServerId(0), IodConfig::default(), storage);
         // Server 0's share of [0,50) is [0,10) ++ [40,50): 20 bytes.
-        let (resp, _) = d2.handle(&Request::Read {
+        let resp = d2.handle(&Request::Read {
             handle: fh(),
             layout: l,
             region: Region::new(0, 50),
@@ -1822,22 +1668,6 @@ mod tests {
             }
         );
         assert!(d2.stats().journal_replays > 0);
-    }
-
-    #[test]
-    fn list_read_cost_reports_per_region_accesses() {
-        let l = layout();
-        let d = IoDaemon::with_defaults(ServerId(0));
-        // Three regions on this server, each within one stripe.
-        let regions = RegionList::from_pairs([(0, 4), (40, 4), (80, 4)]).unwrap();
-        let (_, cost) = d.handle(&Request::ReadList {
-            handle: fh(),
-            layout: l,
-            regions,
-        });
-        assert_eq!(cost.regions, 3);
-        assert_eq!(cost.local_accesses, 3);
-        assert_eq!(cost.disk.bytes_read, 12);
     }
 }
 

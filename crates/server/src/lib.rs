@@ -9,17 +9,17 @@
 //!   file they participate in and serve read/write requests directly to
 //!   clients.
 //!
-//! Both daemons expose a single `handle(request) -> (response, cost)`
-//! entry point with no knowledge of threads, channels or virtual time.
-//! The live threaded cluster (`pvfs-net`) calls them from server
-//! threads; the discrete-event simulator (`pvfs-simcluster`) calls them
-//! from its event loop and converts the returned [`ServeCost`] into
-//! virtual time. One implementation, two executions — the strategy
-//! comparison in the paper's figures exercises exactly the code the
-//! correctness tests exercise.
+//! Both daemons expose a single `handle(request) -> response` entry
+//! point with no knowledge of threads, channels or virtual time. The
+//! live threaded cluster (`pvfs-net`) calls them from server threads;
+//! the discrete-event simulator (`pvfs-simcluster`) calls them from its
+//! event loop and charges what each request did to its own cost model.
+//! One implementation, two executions — the strategy comparison in the
+//! paper's figures exercises exactly the code the correctness tests
+//! exercise.
 
 pub mod iod;
 pub mod manager;
 
-pub use iod::{default_workers, IoDaemon, IodConfig, ServeCost, ServerStats};
+pub use iod::{default_workers, IoDaemon, IodConfig, ServerStats};
 pub use manager::Manager;

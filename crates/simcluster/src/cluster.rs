@@ -5,11 +5,12 @@ use pvfs_core::exec::{
     alloc_temps, apply_copies, copy_bytes, gather_payload_counted, scatter_response, Buffers,
 };
 use pvfs_core::{AccessPlan, OpKind, Step, WireOp};
+use pvfs_disk::{CostModel, CostReport};
 use pvfs_proto::{Request, Response};
 use pvfs_server::{IoDaemon, IodConfig};
 use pvfs_sim::{CostConfig, EventQueue, FifoResource, Histogram, SimTime};
 use pvfs_types::{FileHandle, PvfsError, PvfsResult, Region, ServerId, StripeLayout};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// One recorded simulation event (opt-in, bounded; see
 /// [`SimCluster::run_with_trace`]).
@@ -114,25 +115,43 @@ pub fn metadata_rtt_ns(cost: &CostConfig) -> u64 {
         + cost.server.per_request_ns
 }
 
+/// What serving one data request costs a simulated server: the counts
+/// and disk time the engine turns into server service time.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct Charge {
+    /// File regions processed (1 for contiguous I/O, the trailing-data
+    /// count for list I/O).
+    pub(crate) regions: u64,
+    /// Merged local runs accessed — the unit of per-access server time.
+    pub(crate) local_accesses: u64,
+    /// Cache and disk outcome of those runs.
+    pub(crate) disk: CostReport,
+}
+
 /// The simulated cluster: real daemons + virtual-time resources.
 pub struct SimCluster {
     cost: CostConfig,
     daemons: Vec<IoDaemon>,
+    /// Per server, the buffer-cache and disk model of each local file.
+    /// The daemons serve bytes only; the simulator owns what they cost.
+    models: Vec<HashMap<FileHandle, CostModel>>,
     server_cpu: Vec<FifoResource>,
     server_tx: Vec<FifoResource>,
     server_rx: Vec<FifoResource>,
 }
 
 impl SimCluster {
-    /// A cluster of `n_servers` I/O daemons with the given disk/cache
-    /// configuration and cost calibration.
-    pub fn new(n_servers: u32, iod: IodConfig, cost: CostConfig) -> SimCluster {
+    /// A cluster of `n_servers` I/O daemons, each file under the
+    /// paper-default cache and disk model, with the given cost
+    /// calibration.
+    pub fn new(n_servers: u32, cost: CostConfig) -> SimCluster {
         assert!(n_servers > 0);
         SimCluster {
             cost,
             daemons: (0..n_servers)
-                .map(|i| IoDaemon::new(ServerId(i), iod))
+                .map(|i| IoDaemon::new(ServerId(i), IodConfig::default()))
                 .collect(),
+            models: (0..n_servers).map(|_| HashMap::new()).collect(),
             server_cpu: vec![FifoResource::new(); n_servers as usize],
             server_tx: vec![FifoResource::new(); n_servers as usize],
             server_rx: vec![FifoResource::new(); n_servers as usize],
@@ -141,7 +160,7 @@ impl SimCluster {
 
     /// Paper-default cluster: 8 I/O servers, default disk/cache/cost.
     pub fn paper_default() -> SimCluster {
-        SimCluster::new(8, IodConfig::default(), CostConfig::paper_default())
+        SimCluster::new(8, CostConfig::paper_default())
     }
 
     /// The cost calibration in use.
@@ -152,6 +171,81 @@ impl SimCluster {
     /// Direct daemon access (verification).
     pub fn daemon(&self, id: ServerId) -> &IoDaemon {
         &self.daemons[id.index()]
+    }
+
+    /// Serve `request` on daemon `server` and charge that server's cost
+    /// model for the local runs the request touched, in the order the
+    /// daemon accessed them. Every request the simulator sends goes
+    /// through here, so the model sees exactly the daemon's accesses.
+    pub(crate) fn serve(&mut self, server: usize, request: &Request) -> (Response, Charge) {
+        let daemon = &self.daemons[server];
+        let (handle, layout, regions): (_, _, Vec<Region>) = match request {
+            Request::Read {
+                handle,
+                layout,
+                region,
+            }
+            | Request::Write {
+                handle,
+                layout,
+                region,
+                ..
+            } => (*handle, *layout, vec![*region]),
+            Request::ReadList {
+                handle,
+                layout,
+                regions,
+            }
+            | Request::WriteList {
+                handle,
+                layout,
+                regions,
+                ..
+            } => (*handle, *layout, regions.iter().copied().collect()),
+            Request::ReadVectors {
+                handle,
+                layout,
+                runs,
+            }
+            | Request::WriteVectors {
+                handle,
+                layout,
+                runs,
+                ..
+            } => (
+                *handle,
+                *layout,
+                runs.iter().flat_map(|r| r.regions()).collect(),
+            ),
+            _ => return (daemon.handle(request), Charge::default()),
+        };
+        // Write read-fill depends on the local size before the write.
+        let mut size = daemon.with_local_file(handle, |f| f.size()).unwrap_or(0);
+        let response = daemon.handle(request);
+        if matches!(response, Response::Error(_)) {
+            return (response, Charge::default());
+        }
+        let slot = daemon.id().0.wrapping_sub(layout.base);
+        let model = self.models[server]
+            .entry(handle)
+            .or_insert_with(CostModel::paper_default);
+        let mut charge = Charge {
+            regions: regions.len() as u64,
+            ..Charge::default()
+        };
+        for region in regions {
+            for run in layout.local_runs(region, slot) {
+                charge.local_accesses += 1;
+                charge.disk.merge(if request.is_write() {
+                    let report = model.charge_write(run.offset, run.len, size);
+                    size = size.max(run.end());
+                    report
+                } else {
+                    model.charge_read(run.offset, run.len)
+                });
+            }
+        }
+        (response, charge)
     }
 
     /// Pre-load file content outside simulated time (test/bench setup
@@ -168,12 +262,13 @@ impl SimCluster {
             if share.is_empty() {
                 continue;
             }
-            let (resp, _) = self.daemons[server.index()].handle(&Request::Write {
+            let request = Request::Write {
                 handle,
                 layout: *layout,
                 region,
                 data: Bytes::from(share),
-            });
+            };
+            let (resp, _) = self.serve(server.index(), &request);
             assert!(matches!(resp, Response::Written { .. }), "seed failed");
         }
     }
@@ -196,18 +291,21 @@ impl SimCluster {
                 if share == 0 {
                     continue;
                 }
-                let (resp, _) = self.daemons[server.index()].handle(&Request::Write {
+                let request = Request::Write {
                     handle,
                     layout: *layout,
                     region,
                     data: Bytes::from(zeros[..share as usize].to_vec()),
-                });
+                };
+                let (resp, _) = self.serve(server.index(), &request);
                 assert!(matches!(resp, Response::Written { .. }), "seed_warm failed");
             }
             off += n;
         }
-        for d in &mut self.daemons {
-            d.flush_handle(handle);
+        for models in &mut self.models {
+            if let Some(model) = models.get_mut(&handle) {
+                model.flush();
+            }
         }
     }
 
@@ -235,12 +333,13 @@ impl SimCluster {
             }
             if let Some(local_last) = last {
                 let logical = layout.to_logical(slot, local_last);
-                let (resp, _) = self.daemons[server.index()].handle(&Request::Write {
+                let request = Request::Write {
                     handle,
                     layout: *layout,
                     region: Region::new(logical, 1),
                     data: Bytes::from(vec![0u8]),
-                });
+                };
+                let (resp, _) = self.serve(server.index(), &request);
                 assert!(matches!(resp, Response::Written { .. }));
             }
         }
@@ -556,14 +655,14 @@ impl<'a> Engine<'a> {
         let (_, rx_end) = self.cluster.server_rx[sidx].acquire(t, wire_ns);
         // Serve (real data movement) and charge the CPU + disk.
         let request = flight.request.take().expect("request present");
-        let (response, serve_cost) = self.cluster.daemons[sidx].handle(&request);
+        let (response, charge) = self.cluster.serve(sidx, &request);
         if let Response::Error(e) = response {
             return Err(e);
         }
         let service = cost.server.per_request_ns
-            + serve_cost.regions * cost.server.per_region_ns
-            + serve_cost.local_accesses * cost.server.per_access_ns
-            + serve_cost.disk.disk_ns;
+            + charge.regions * cost.server.per_region_ns
+            + charge.local_accesses * cost.server.per_access_ns
+            + charge.disk.disk_ns;
         let (_, cpu_end) = self.cluster.server_cpu[sidx].acquire(rx_end, service);
         // The write-ACK stall delays the response without occupying any
         // resource: parallel writes in one round overlap their stalls.

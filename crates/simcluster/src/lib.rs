@@ -11,8 +11,11 @@
 //! testbed —
 //!
 //! * each client's CPU and full-duplex NIC (tx/rx),
-//! * each server's request-processing CPU, NIC directions, and disk
-//!   (via the daemons' [`ServeCost`](pvfs_server::ServeCost) reports),
+//! * each server's request-processing CPU, NIC directions, and disk —
+//!   the daemons serve bytes only, so the simulator keeps one
+//!   [`CostModel`](pvfs_disk::CostModel) (buffer cache + disk timing) per
+//!   (server, handle) and charges it with the local runs each request
+//!   touched,
 //! * the cross-client serialization token for data sieving writes.
 //!
 //! The returned [`SimReport`] carries per-client completion times — the

@@ -2,10 +2,11 @@
 //! sanity, and determinism.
 
 use super::*;
+use crate::cluster::Charge;
 use pvfs_core::{plan, IoKind, ListRequest, Method, MethodConfig};
-use pvfs_server::IodConfig;
+use pvfs_proto::{Request, Response};
 use pvfs_sim::CostConfig;
-use pvfs_types::{FileHandle, RegionList, StripeLayout};
+use pvfs_types::{FileHandle, Region, RegionList, StripeLayout};
 
 const FH: FileHandle = FileHandle(1);
 
@@ -14,7 +15,7 @@ fn layout(pcount: u32, ssize: u64) -> StripeLayout {
 }
 
 fn cluster(pcount: u32) -> SimCluster {
-    SimCluster::new(pcount, IodConfig::default(), CostConfig::paper_default())
+    SimCluster::new(pcount, CostConfig::paper_default())
 }
 
 fn strided_request(n: u64, len: u64, stride: u64) -> ListRequest {
@@ -81,9 +82,10 @@ fn simulated_write_lands_correct_bytes() {
                 let d = sim.daemon(seg.server);
                 let got = d
                     .with_local_file(FH, |f| {
-                        f.peek_vec(seg.local_offset, seg.logical.len as usize)
+                        f.read_at(seg.local_offset, seg.logical.len as usize)
                     })
-                    .expect("file exists");
+                    .expect("file exists")
+                    .unwrap();
                 assert_eq!(
                     got,
                     src[cursor..cursor + seg.logical.len as usize].to_vec(),
@@ -545,4 +547,62 @@ fn datatype_requests_do_not_scale_with_regions() {
     let (req_small, _) = time_for(200);
     let (req_big, _) = time_for(3200);
     assert_eq!(req_small, req_big, "regular pattern: constant requests");
+}
+
+#[test]
+fn serve_charges_one_access_per_merged_local_run() {
+    let l = layout(4, 10);
+    let mut sim = cluster(4);
+    // Three regions on server 0, each within one of its stripes.
+    let regions = RegionList::from_pairs([(0, 4), (40, 4), (80, 4)]).unwrap();
+    let (resp, charge) = sim.serve(
+        0,
+        &Request::ReadList {
+            handle: FH,
+            layout: l,
+            regions,
+        },
+    );
+    assert!(matches!(resp, Response::Data { .. }));
+    assert_eq!(charge.regions, 3);
+    assert_eq!(charge.local_accesses, 3);
+    assert_eq!(charge.disk.bytes_read, 12);
+    // One region spanning three of server 0's stripes is one merged
+    // local run, as the daemon reads it.
+    let (_, charge) = sim.serve(
+        0,
+        &Request::Read {
+            handle: FH,
+            layout: l,
+            region: Region::new(0, 90),
+        },
+    );
+    assert_eq!(charge.regions, 1);
+    assert_eq!(charge.local_accesses, 1);
+    assert_eq!(charge.disk.bytes_read, 30);
+}
+
+#[test]
+fn serve_charges_read_fill_only_over_existing_data() {
+    let l = layout(1, 4096);
+    let mut sim = cluster(1);
+    let write = |offset: u64, len: u64| Request::Write {
+        handle: FH,
+        layout: l,
+        region: Region::new(offset, len),
+        data: bytes::Bytes::from(vec![1u8; len as usize]),
+    };
+    // An unaligned write to a fresh file allocates zeroed pages: no
+    // read-fill, so no disk time.
+    let (_, fresh) = sim.serve(0, &write(3, 10));
+    assert_eq!(fresh.local_accesses, 1);
+    assert_eq!(fresh.disk.disk_ns, 0);
+    // An unaligned write into an uncached block below the old EOF pays
+    // the read-fill: the helper read the size before the write.
+    sim.seed_extent(FH, &l, 1 << 20);
+    let (_, fill) = sim.serve(0, &write(8192 + 3, 10));
+    assert!(fill.disk.disk_ns > 0, "no read-fill charged");
+    // Requests other than data I/O charge nothing.
+    let (_, none) = sim.serve(0, &Request::GetLocalSize { handle: FH });
+    assert_eq!(none, Charge::default());
 }

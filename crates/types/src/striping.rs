@@ -161,6 +161,25 @@ impl StripeLayout {
         slots.into_iter().map(|s| self.server_at_slot(s)).collect()
     }
 
+    /// `slot`'s bytes of `region` as merged local runs, in logical
+    /// order. Consecutive stripes a slot owns are packed contiguously in
+    /// its local file, so segments that touch locally merge into one run
+    /// (one lseek + read on a real iod). Each run is a local-file extent.
+    pub fn local_runs(&self, region: Region, slot: u32) -> impl Iterator<Item = Region> + '_ {
+        let mut segments = self
+            .segments(region)
+            .filter(move |s| s.slot == slot)
+            .peekable();
+        std::iter::from_fn(move || {
+            let first = segments.next()?;
+            let mut run = Region::new(first.local_offset, first.logical.len);
+            while let Some(seg) = segments.next_if(|s| s.local_offset == run.end()) {
+                run.len += seg.logical.len;
+            }
+            Some(run)
+        })
+    }
+
     /// Bytes of `region` stored on `slot`. Closed-form would be fiddly;
     /// regions in this system are modest in stripe count, so walk the
     /// segments.
@@ -346,6 +365,17 @@ mod tests {
     }
 
     #[test]
+    fn local_runs_merge_a_slots_stripes() {
+        let l = layout(4, 10);
+        // [5, 95) touches slot 0 in stripes 0, 4 and 8: local [5, 10),
+        // [10, 20) and [20, 30), one merged run.
+        let runs: Vec<_> = l.local_runs(Region::new(5, 90), 0).collect();
+        assert_eq!(runs, vec![Region::new(5, 25)]);
+        assert_eq!(l.local_runs(Region::new(0, 10), 1).count(), 0);
+        assert_eq!(l.local_runs(Region::new(5, 0), 0).count(), 0);
+    }
+
+    #[test]
     fn wrapped_base_keeps_slot_math_intact() {
         // A replica-rewritten layout addressing mirror server 2 for
         // slot 3 carries base = 2 - 3 (wrapping). Server arithmetic
@@ -413,6 +443,26 @@ mod proptests {
                 cursor = s.logical.end();
             }
             prop_assert_eq!(cursor, r.end());
+        }
+
+        #[test]
+        fn local_runs_are_ordered_disjoint_and_cover_the_slot(
+            l in arb_layout(),
+            off in 0u64..1_000_000,
+            len in 0u64..1_000_000,
+            slot_pick in 0u32..16,
+        ) {
+            let r = Region::new(off, len);
+            let slot = slot_pick % l.pcount;
+            let runs: Vec<Region> = l.local_runs(r, slot).collect();
+            for pair in runs.windows(2) {
+                // Strictly increasing and never adjacent: touching runs
+                // would have been merged.
+                prop_assert!(pair[0].end() < pair[1].offset);
+            }
+            prop_assert!(runs.iter().all(|run| run.len > 0));
+            let total: u64 = runs.iter().map(|run| run.len).sum();
+            prop_assert_eq!(total, l.bytes_on_slot(r, slot));
         }
 
         #[test]

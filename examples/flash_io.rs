@@ -9,7 +9,6 @@
 use pvfs::client::PvfsFile;
 use pvfs::core::{IoKind, Method, MethodConfig};
 use pvfs::net::LiveCluster;
-use pvfs::server::IodConfig;
 use pvfs::sim::CostConfig;
 use pvfs::simcluster::{ClientJob, SimCluster};
 use pvfs::types::{FileHandle, StripeLayout};
@@ -68,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nsimulated Chiba City checkpoint times:");
     println!("{:<20} {:>12} {:>12}", "method", "seconds", "requests");
     for method in [Method::Multiple, Method::DataSieving, Method::List] {
-        let mut sim = SimCluster::new(8, IodConfig::default(), CostConfig::paper_default());
+        let mut sim = SimCluster::new(8, CostConfig::paper_default());
         let cfg = MethodConfig::paper_default();
         let jobs: Vec<ClientJob> = (0..nprocs)
             .map(|p| {

@@ -9,7 +9,6 @@
 use pvfs::client::PvfsFile;
 use pvfs::core::{IoKind, Method, MethodConfig};
 use pvfs::net::LiveCluster;
-use pvfs::server::IodConfig;
 use pvfs::sim::CostConfig;
 use pvfs::simcluster::{metadata_rtt_ns, ClientJob, SimCluster};
 use pvfs::types::{FileHandle, StripeLayout};
@@ -75,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cost = CostConfig::paper_default();
     let meta = metadata_rtt_ns(&cost) as f64 / 1e9;
     for method in [Method::Multiple, Method::DataSieving, Method::List] {
-        let mut sim = SimCluster::new(8, IodConfig::default(), cost);
+        let mut sim = SimCluster::new(8, cost);
         sim.seed_warm(FileHandle(7), &layout, wall.file_size());
         let cfg = MethodConfig::paper_default();
         let jobs: Vec<ClientJob> = (0..wall.clients())

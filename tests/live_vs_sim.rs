@@ -6,7 +6,6 @@
 use pvfs::client::PvfsFile;
 use pvfs::core::{plan, IoKind, Method, MethodConfig};
 use pvfs::net::LiveCluster;
-use pvfs::server::IodConfig;
 use pvfs::sim::CostConfig;
 use pvfs::simcluster::{ClientJob, SimCluster};
 use pvfs::types::{FileHandle, StripeLayout};
@@ -22,7 +21,7 @@ fn sim_read(
     layout: StripeLayout,
     file_size: u64,
 ) -> Vec<u8> {
-    let mut sim = SimCluster::new(8, IodConfig::default(), CostConfig::paper_default());
+    let mut sim = SimCluster::new(8, CostConfig::paper_default());
     sim.seed_file(FH, &layout, &verify::content(0, file_size as usize));
     let cfg = MethodConfig::paper_default();
     let p = plan(method, IoKind::Read, request, FH, layout, &cfg).unwrap();
@@ -118,7 +117,7 @@ fn flash_checkpoints_agree_between_live_and_sim() {
     let file_size = flash.file_size() as usize;
 
     // Simulated: both procs write, then dump every daemon's bytes.
-    let mut sim = SimCluster::new(8, IodConfig::default(), CostConfig::paper_default());
+    let mut sim = SimCluster::new(8, CostConfig::paper_default());
     let cfg = MethodConfig::paper_default();
     let jobs: Vec<ClientJob> = (0..2)
         .map(|p| {
@@ -134,7 +133,8 @@ fn flash_checkpoints_agree_between_live_and_sim() {
     for seg in layout.segments(pvfs::types::Region::new(0, file_size as u64)) {
         let daemon = sim.daemon(seg.server);
         if let Some(piece) = daemon.with_local_file(FH, |f| {
-            f.peek_vec(seg.local_offset, seg.logical.len as usize)
+            f.read_at(seg.local_offset, seg.logical.len as usize)
+                .unwrap()
         }) {
             sim_file[seg.logical.offset as usize..seg.logical.end() as usize]
                 .copy_from_slice(&piece);
