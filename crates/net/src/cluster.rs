@@ -638,9 +638,9 @@ impl ClusterClient {
     }
 
     /// Per-server, per-op-class RPC latency histograms of this endpoint
-    /// and all its clones (successful RPCs only; each attempt's latency
-    /// stands alone — backoff sleeps are counted separately in
-    /// [`ClusterClient::stats`]).
+    /// and all its clones (successful RPCs only, control scrapes
+    /// excluded; each attempt's latency stands alone — backoff sleeps
+    /// are counted separately in [`ClusterClient::stats`]).
     pub fn latency(&self) -> &RpcLatency {
         &self.latency
     }
@@ -996,7 +996,7 @@ impl ClusterClient {
     /// shed counter and the trace. A daemon that answers, even with an
     /// error, is alive; a shed is neither success nor failure;
     /// transport-class failures count toward the breaker; latency
-    /// records successful replies only.
+    /// records successful replies to data and metadata requests only.
     fn settle(
         &self,
         sub: &SubOp,
@@ -1038,6 +1038,9 @@ impl ClusterClient {
             r => Ok(r),
         });
         match &result {
+            // Control scrapes observe; they stay out of the latency
+            // record as they stay out of every other client counter.
+            Ok(_) if sub.request.is_control_scrape() => {}
             Ok(_) => self
                 .latency
                 .record(sub.target, sub.request.op_class(), elapsed),

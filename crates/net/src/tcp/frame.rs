@@ -17,11 +17,19 @@
 //! * reassembly uses `read_exact`-style loops, so a frame split across
 //!   arbitrarily many 1-byte segments, or several frames concatenated
 //!   into one TCP segment, decode identically.
+//!
+//! Both ends keep the per-frame syscall count at its floor. Sending is
+//! one vectored write of prefix and body ([`write_frame`]): on a
+//! `TCP_NODELAY` socket a prefix written on its own leaves as its own
+//! segment and wakes the peer before the body exists. Receiving goes
+//! through a buffered reader kept per connection, so one `read` usually
+//! brings in the prefix and the whole body; [`read_frame`] is the one
+//! decoder for buffered and raw streams alike.
 
 use bytes::Bytes;
 use pvfs_proto::MAX_WIRE_FRAME;
 use pvfs_types::PvfsError;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Bytes of framing overhead per frame (the length prefix).
 pub const LEN_PREFIX: usize = 4;
@@ -48,8 +56,10 @@ impl FrameError {
     }
 }
 
-/// Write one length-prefixed frame. Rejects frames over the cap so a
-/// local bug cannot emit a frame no peer would accept.
+/// Write one length-prefixed frame with one vectored write (more only
+/// if the writer accepts part of it); the body is never copied. Rejects
+/// frames over the cap so a local bug cannot emit a frame no peer would
+/// accept.
 pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
     if frame.len() > MAX_WIRE_FRAME {
         return Err(io::Error::new(
@@ -60,8 +70,18 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
             ),
         ));
     }
-    w.write_all(&(frame.len() as u32).to_le_bytes())?;
-    w.write_all(frame)
+    let prefix = (frame.len() as u32).to_le_bytes();
+    let mut slices = [IoSlice::new(&prefix), IoSlice::new(frame)];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Read one length-prefixed frame, surviving arbitrary short reads.
@@ -208,6 +228,86 @@ mod tests {
         let mut out = Vec::new();
         assert!(write_frame(&mut out, &huge).is_err());
         assert!(out.is_empty(), "nothing may hit the wire");
+    }
+
+    /// A writer accepting at most `chunk` bytes per call (`usize::MAX`:
+    /// everything), recording what it got and how many calls it took.
+    struct Counting {
+        out: Vec<u8>,
+        calls: usize,
+        chunk: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut budget = self.chunk;
+            for b in bufs {
+                let n = budget.min(b.len());
+                self.out.extend_from_slice(&b[..n]);
+                budget -= n;
+            }
+            Ok(self.chunk - budget)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn counting(chunk: usize) -> Counting {
+        Counting {
+            out: Vec::new(),
+            calls: 0,
+            chunk,
+        }
+    }
+
+    #[test]
+    fn frame_is_one_write_call() {
+        let payload: Vec<u8> = (0..=255u8).cycle().take(5000).collect();
+        let mut w = counting(usize::MAX);
+        write_frame(&mut w, &payload).unwrap();
+        assert_eq!(w.calls, 1, "prefix and body must leave in one write");
+        assert_eq!(w.out, framed(&payload));
+    }
+
+    #[test]
+    fn partial_writes_reassemble_byte_for_byte() {
+        // 1 and 3 split the 4-byte prefix itself; 7 straddles it.
+        let payload: Vec<u8> = (0..100u8).collect();
+        for chunk in [1, 3, 7] {
+            let mut w = counting(chunk);
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.out, framed(&payload), "chunk {chunk}");
+            assert_eq!(w.calls, (LEN_PREFIX + payload.len()).div_ceil(chunk));
+            assert_eq!(
+                read_frame(&mut w.out.as_slice()).unwrap().as_ref(),
+                &payload[..]
+            );
+        }
+    }
+
+    #[test]
+    fn buffered_reader_splits_two_frames_from_one_read() {
+        // One read() fills the buffer with both frames; each read_frame
+        // must take exactly its own bytes and leave the rest buffered.
+        let mut wire = framed(b"first");
+        wire.extend_from_slice(&framed(b"second, longer"));
+        let mut r = io::BufReader::new(Trickle {
+            data: wire.clone(),
+            pos: 0,
+            chunk: wire.len(),
+        });
+        assert_eq!(read_frame(&mut r).unwrap().as_ref(), b"first");
+        assert_eq!(r.get_ref().pos, wire.len(), "one read brought in both");
+        assert_eq!(read_frame(&mut r).unwrap().as_ref(), b"second, longer");
+        assert!(r.buffer().is_empty());
+        assert!(matches!(read_frame(&mut r), Err(FrameError::Closed)));
     }
 
     #[test]

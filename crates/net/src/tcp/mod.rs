@@ -5,14 +5,16 @@
 //!
 //! * [`frame`] — length-prefixed framing of `pvfs-proto` frames with a
 //!   hard size cap ([`pvfs_proto::MAX_WIRE_FRAME`]) checked before any
-//!   allocation, and `read_exact`-style reassembly that survives
-//!   arbitrary short reads and coalesced segments;
+//!   allocation, one vectored write per frame, and `read_exact`-style
+//!   reassembly that survives arbitrary short reads and coalesced
+//!   segments;
 //! * [`server`] — per-daemon `TcpListener` acceptors feeding the same
 //!   bounded [`WorkerPool`](crate::WorkerPool)s the channel transport
 //!   uses, with graceful drain-then-join shutdown;
 //! * [`pool`] — the client-side connection pool (persistent,
-//!   `TCP_NODELAY` connections; one fixed deadline per RPC however many
-//!   partial reads the response takes).
+//!   `TCP_NODELAY` connections, each with its own read buffer; one
+//!   fixed deadline per RPC however many partial reads the response
+//!   takes).
 //!
 //! Everything above the [`Transport`](crate::Transport) trait is
 //! byte-for-byte identical across transports: same codec, same request

@@ -11,12 +11,20 @@
 //! out (or dials) several connections, which is what lets the daemon's
 //! worker pool serve the requests in parallel.
 //!
+//! A connection is its socket plus a buffered reader that stays with it
+//! across RPCs: a request leaves in one vectored write
+//! ([`write_frame`]) and its reply usually arrives in one `read`. Only a
+//! connection whose buffer is empty after its reply is parked; leftover
+//! bytes belong to no RPC, so such a connection is dropped.
+//!
 //! # Deadlines
 //!
 //! [`PendingReply::wait`] computes one deadline up front and charges
-//! every partial read against it ([`DeadlineStream`]). The read timeout
-//! is *never* reset just because bytes arrived — a peer trickling a
-//! response one byte at a time cannot stretch an RPC past its budget.
+//! every partial read against it ([`DeadlineStream`]): each read sets the
+//! socket timeout to the remaining budget first, so a parked connection
+//! needs no reset. The read timeout is *never* reset just because bytes
+//! arrived — a peer trickling a response one byte at a time cannot
+//! stretch an RPC past its budget.
 //! A connection whose RPC failed or timed out is dropped, not parked:
 //! the response may still arrive later, and a parked connection with a
 //! stale response queued would corrupt the next RPC on it.
@@ -43,7 +51,7 @@
 
 use bytes::Bytes;
 use pvfs_types::{PvfsError, PvfsResult};
-use std::io::{self, Read};
+use std::io::{self, BufReader, Read};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -61,8 +69,12 @@ struct PoolInner {
     mgr_addr: SocketAddr,
     /// One idle-connection stack per server, plus one for the manager
     /// (last slot). LIFO: the hottest connection is reused first.
-    idle: Vec<Mutex<Vec<TcpStream>>>,
+    idle: Vec<Mutex<Vec<Conn>>>,
 }
+
+/// One pooled connection: the socket behind the read buffer it keeps
+/// for its whole life.
+type Conn = BufReader<DeadlineStream>;
 
 impl TcpTransport {
     /// A transport dialing the given daemon listeners. No connection is
@@ -113,21 +125,26 @@ impl PoolInner {
     }
 
     /// Pop an idle (possibly stale) connection, if any is parked.
-    fn checkout_idle(&self, slot: usize) -> Option<TcpStream> {
+    fn checkout_idle(&self, slot: usize) -> Option<Conn> {
         self.idle[slot].lock().unwrap().pop()
     }
 
     /// Dial a fresh connection.
-    fn dial(&self, slot: usize) -> PvfsResult<TcpStream> {
+    fn dial(&self, slot: usize) -> PvfsResult<Conn> {
         let addr = self.addr(slot);
         let conn = TcpStream::connect(addr)
             .map_err(|e| PvfsError::Transport(format!("connect {addr}: {e}")))?;
         conn.set_nodelay(true)
             .map_err(|e| PvfsError::Transport(format!("set TCP_NODELAY on {addr}: {e}")))?;
-        Ok(conn)
+        Ok(BufReader::new(DeadlineStream {
+            conn,
+            deadline: Instant::now(),
+            timed_out: false,
+            got_bytes: false,
+        }))
     }
 
-    fn park(&self, slot: usize, conn: TcpStream) {
+    fn park(&self, slot: usize, conn: Conn) {
         self.idle[slot].lock().unwrap().push(conn);
     }
 }
@@ -143,7 +160,7 @@ impl Transport for TcpTransport {
         // connection went stale while idle — evict it (drop) and heal
         // by re-dialing. Only a fresh connection's failure is fatal.
         let (conn, reused) = match self.inner.checkout_idle(slot) {
-            Some(mut conn) => match write_frame(&mut conn, &frame) {
+            Some(mut conn) => match write_frame(&mut conn.get_mut().conn, &frame) {
                 Ok(()) => (Some(conn), true),
                 Err(_) => (None, false),
             },
@@ -153,7 +170,7 @@ impl Transport for TcpTransport {
             Some(conn) => conn,
             None => {
                 let mut conn = self.inner.dial(slot)?;
-                write_frame(&mut conn, &frame).map_err(|e| {
+                write_frame(&mut conn.get_mut().conn, &frame).map_err(|e| {
                     PvfsError::Transport(format!("send to {}: {e}", self.inner.addr(slot)))
                 })?;
                 conn
@@ -180,7 +197,7 @@ impl Transport for TcpTransport {
 struct TcpPending {
     inner: Arc<PoolInner>,
     slot: usize,
-    conn: TcpStream,
+    conn: Conn,
     frame: Bytes,
     /// Whether `conn` came from the idle pool (only then may the
     /// peer-gone-before-any-byte race be healed by replaying).
@@ -191,17 +208,16 @@ impl PendingReply for TcpPending {
     fn wait(mut self: Box<Self>, timeout: Duration) -> Result<Bytes, WaitError> {
         let deadline = Instant::now() + timeout;
         loop {
-            let mut stream = DeadlineStream {
-                conn: &self.conn,
-                deadline,
-                timed_out: false,
-                got_bytes: false,
-            };
-            let error = match read_frame(&mut stream) {
+            let stream = self.conn.get_mut();
+            stream.deadline = deadline;
+            stream.timed_out = false;
+            stream.got_bytes = false;
+            let error = match read_frame(&mut self.conn) {
                 Ok(frame) => {
                     // Healthy connection, response fully consumed: park
-                    // it for reuse (blocking mode restored first).
-                    if self.conn.set_read_timeout(None).is_ok() {
+                    // it for reuse — unless bytes past the reply sit in
+                    // its buffer, which would poison the next RPC.
+                    if self.conn.buffer().is_empty() {
                         self.inner.park(self.slot, self.conn);
                     }
                     return Ok(frame);
@@ -211,6 +227,7 @@ impl PendingReply for TcpPending {
             // On any error the connection is dropped, never parked: it
             // may still deliver a stale response, which must never
             // reach a future RPC.
+            let stream = self.conn.get_ref();
             if stream.timed_out {
                 return Err(WaitError::Timeout);
             }
@@ -237,7 +254,7 @@ impl TcpPending {
     /// a re-send of the kept request frame.
     fn redial_and_resend(&mut self) -> PvfsResult<()> {
         let mut conn = self.inner.dial(self.slot)?;
-        write_frame(&mut conn, &self.frame).map_err(|e| {
+        write_frame(&mut conn.get_mut().conn, &self.frame).map_err(|e| {
             PvfsError::Transport(format!(
                 "resend to {} after stale connection: {e}",
                 self.inner.addr(self.slot)
@@ -269,11 +286,12 @@ fn peer_went_away(e: &FrameError) -> bool {
     }
 }
 
-/// A [`Read`] adapter charging every read against one fixed deadline:
-/// before each read the socket timeout is set to the *remaining* budget,
-/// so partial progress never extends the total allowance.
-struct DeadlineStream<'a> {
-    conn: &'a TcpStream,
+/// A connection's socket as a [`Read`] charging every read against the
+/// current RPC's fixed deadline: before each read the socket timeout is
+/// set to the *remaining* budget, so partial progress never extends the
+/// total allowance.
+struct DeadlineStream {
+    conn: TcpStream,
     deadline: Instant,
     timed_out: bool,
     /// Whether any response byte has arrived (a partially received
@@ -281,7 +299,7 @@ struct DeadlineStream<'a> {
     got_bytes: bool,
 }
 
-impl Read for DeadlineStream<'_> {
+impl Read for DeadlineStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let remaining = self.deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {

@@ -2,9 +2,12 @@
 //! same [`WorkerPool`]s the channel transport uses.
 //!
 //! One daemon = one `TcpListener` on loopback + one acceptor thread +
-//! one reader thread per accepted connection + the daemon's worker
-//! pool. Readers do nothing but reassemble length-prefixed frames and
-//! push them into the pool's **bounded** queue. When workers fall
+//! one reader thread per open connection + the daemon's worker pool.
+//! Readers do nothing but reassemble length-prefixed frames, through a
+//! buffered reader kept for the connection's life, and push them into
+//! the pool's **bounded** queue. A reader whose peer hangs up removes
+//! its connection from the daemon's table on the way out, so a closed
+//! connection holds no descriptor until shutdown. When workers fall
 //! behind, daemon readers **load-shed**: a frame meeting a full queue
 //! is answered immediately with `PvfsError::Overloaded` instead of
 //! being parked (see [`ServeHooks::shed`]). The manager and stats
@@ -20,16 +23,18 @@
 //!
 //! [`TcpServer::shutdown`] drains gracefully: stop accepting (flag +
 //! self-connect to unblock `accept`), shut down the read half of every
-//! connection so readers finish handing queued frames to the pool, join
-//! the readers, then send the pool one `Shutdown` message per worker —
-//! those queue *behind* any in-flight requests, so every accepted
-//! request is served and its response written before the pool exits.
+//! open connection so readers finish handing queued frames to the pool,
+//! join those readers, then send the pool one `Shutdown` message per
+//! worker — those queue *behind* any in-flight requests, so every
+//! accepted request is served and its response written before the pool
+//! exits.
 
 use bytes::Bytes;
 use pvfs_proto::{decode_frame_id, encode_response, frame_is_stats_scrape, Response};
 use pvfs_server::{IoDaemon, IodConfig, Manager};
 use pvfs_types::{PvfsError, RequestId};
-use std::io::Write;
+use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -77,6 +82,12 @@ enum TcpMsg {
     Shutdown,
 }
 
+/// The open connections of one daemon, keyed by accept index: a read
+/// half (for shutdown) and the reader thread serving the connection.
+/// The acceptor inserts under the lock it spawned the reader under, and
+/// the reader removes its own entry when it exits.
+type Conns = Arc<Mutex<HashMap<usize, (TcpStream, JoinHandle<()>)>>>;
+
 /// One TCP-fronted daemon: listener, acceptor, per-connection readers,
 /// worker pool.
 pub(crate) struct TcpServer {
@@ -85,8 +96,7 @@ pub(crate) struct TcpServer {
     accept_thread: Option<JoinHandle<()>>,
     pool_tx: crate::chan::Sender<TcpMsg>,
     pool: Option<WorkerPool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Conns,
 }
 
 impl TcpServer {
@@ -100,8 +110,7 @@ impl TcpServer {
         let addr = listener.local_addr()?;
         let hooks = Arc::new(hooks);
         let shutting_down = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Conns = Arc::default();
 
         let worker_hooks = hooks.clone();
         let (pool_tx, pool) = WorkerPool::spawn(name, workers, queue_depth, move |msg: TcpMsg| {
@@ -123,8 +132,7 @@ impl TcpServer {
                     }
                     // Whole-frame writes under the connection's write
                     // lock: pipelined responses interleave per frame.
-                    let mut w = writer.lock().unwrap();
-                    let _ = write_frame(&mut *w, &reply).and_then(|()| w.flush());
+                    let _ = write_frame(&mut *writer.lock().unwrap(), &reply);
                     ControlFlow::Continue(())
                 }
                 TcpMsg::Shutdown => ControlFlow::Break(()),
@@ -133,7 +141,6 @@ impl TcpServer {
 
         let accept_flag = shutting_down.clone();
         let accept_conns = conns.clone();
-        let accept_readers = readers.clone();
         let accept_hooks = hooks.clone();
         let accept_tx = pool_tx.clone();
         let accept_name = name.to_string();
@@ -149,14 +156,17 @@ impl TcpServer {
                     let Ok(read_half) = stream.try_clone() else {
                         continue;
                     };
-                    accept_conns.lock().unwrap().push(read_half);
+                    // Held across the spawn: the reader cannot remove
+                    // its entry before it is inserted.
+                    let mut open = accept_conns.lock().unwrap();
                     let reader = spawn_reader(
                         format!("{accept_name}-conn{i}"),
                         stream,
                         accept_tx.clone(),
                         accept_hooks.clone(),
+                        (accept_conns.clone(), i),
                     );
-                    accept_readers.lock().unwrap().push(reader);
+                    open.insert(i, (read_half, reader));
                 }
             })
             .expect("spawn tcp acceptor");
@@ -168,7 +178,6 @@ impl TcpServer {
             pool_tx,
             pool: Some(pool),
             conns,
-            readers,
         })
     }
 
@@ -178,6 +187,10 @@ impl TcpServer {
 
     pub(crate) fn workers(&self) -> usize {
         self.pool.as_ref().map(|p| p.workers()).unwrap_or(0)
+    }
+
+    fn open_connections(&self) -> usize {
+        self.conns.lock().unwrap().len()
     }
 
     /// Graceful teardown: close the listener, drain in-flight requests,
@@ -193,13 +206,15 @@ impl TcpServer {
         }
         // Stop the readers at their next read; frames already read keep
         // flowing into the pool (a reader blocked on a full queue
-        // finishes its send first — workers are still draining).
-        for conn in self.conns.lock().unwrap().iter() {
+        // finishes its send first — workers are still draining). The
+        // table is emptied before the joins: an exiting reader takes
+        // its lock to remove itself.
+        let open: Vec<_> = self.conns.lock().unwrap().drain().map(|(_, c)| c).collect();
+        for (conn, _) in &open {
             let _ = conn.shutdown(Shutdown::Read);
         }
-        let readers: Vec<_> = self.readers.lock().unwrap().drain(..).collect();
-        for r in readers {
-            let _ = r.join();
+        for (_, reader) in open {
+            let _ = reader.join();
         }
         // Every accepted request is now queued; the Shutdown messages
         // queue behind them, so the pool drains before exiting.
@@ -207,7 +222,6 @@ impl TcpServer {
             let _ = self.pool_tx.send(TcpMsg::Shutdown);
         }
         pool.join();
-        self.conns.lock().unwrap().clear();
     }
 }
 
@@ -218,79 +232,88 @@ impl Drop for TcpServer {
 }
 
 /// Read frames off one connection into the pool until the peer hangs
-/// up, dies mid-frame, or violates the frame cap.
+/// up, dies mid-frame, or violates the frame cap; then drop the
+/// connection's `entry` from the daemon's table.
 fn spawn_reader(
     name: String,
-    mut stream: TcpStream,
+    stream: TcpStream,
     pool_tx: crate::chan::Sender<TcpMsg>,
     hooks: Arc<ServeHooks>,
+    (conns, entry): (Conns, usize),
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(name)
         .spawn(move || {
-            let writer = Arc::new(Mutex::new(match stream.try_clone() {
-                Ok(w) => w,
-                Err(_) => return,
-            }));
-            loop {
-                match read_frame(&mut stream) {
-                    Ok(frame) => {
-                        let scrape = frame_is_stats_scrape(&frame);
-                        if !scrape {
-                            (hooks.on_rx)(wire_len(&frame));
-                            (hooks.on_queued)();
-                        }
-                        let msg = TcpMsg::Rpc(frame, writer.clone(), Instant::now());
-                        if scrape || hooks.shed.is_none() {
-                            // Scrapes must observe, not perturb, and the
-                            // manager never sheds: block until the queue
-                            // drains — TCP flow control is the
-                            // backpressure.
-                            if pool_tx.send(msg).is_err() {
-                                break;
-                            }
-                            continue;
-                        }
-                        match pool_tx.try_send(msg) {
-                            Ok(()) => {}
-                            Err(TrySendError::Disconnected(_)) => break,
-                            Err(TrySendError::Full(TcpMsg::Rpc(frame, writer, _))) => {
-                                // Load shed: answer `Overloaded` from the
-                                // reader itself instead of parking the
-                                // frame behind a full queue. The request
-                                // provably never executed, so the client
-                                // may replay it — even a write. The
-                                // connection stays healthy; only this
-                                // request is refused.
-                                let err = hooks.shed.as_ref().expect("checked above")();
-                                let id = decode_frame_id(&frame).unwrap_or(RequestId(0));
-                                let reply = encode_response(id, &Response::Error(err));
-                                (hooks.on_tx)(wire_len(&reply));
-                                let mut w = writer.lock().unwrap();
-                                let _ = write_frame(&mut *w, &reply).and_then(|()| w.flush());
-                            }
-                            Err(TrySendError::Full(TcpMsg::Shutdown)) => {
-                                unreachable!("reader only sends Rpc frames")
-                            }
-                        }
-                    }
-                    Err(FrameError::TooLarge(e)) => {
-                        // The stream cannot be resynchronized after an
-                        // oversized announcement, but the peer deserves
-                        // to know why it is being dropped. Id 0: the
-                        // header was never read.
-                        let reply = encode_response(RequestId(0), &Response::Error(e));
-                        (hooks.on_tx)(wire_len(&reply));
-                        let mut w = writer.lock().unwrap();
-                        let _ = write_frame(&mut *w, &reply).and_then(|()| w.flush());
-                        let _ = w.shutdown(Shutdown::Both);
-                        break;
-                    }
-                    Err(_) => break, // peer hung up or died mid-frame
-                }
+            if let Ok(writer) = stream.try_clone() {
+                read_frames(BufReader::new(stream), writer, &pool_tx, &hooks);
             }
+            conns.lock().unwrap().remove(&entry);
         })
         .expect("spawn tcp reader")
+}
+
+/// The reader loop of one connection: reassemble request frames from
+/// `stream` and hand them to the pool; replies go out on `writer`.
+fn read_frames(
+    mut stream: BufReader<TcpStream>,
+    writer: TcpStream,
+    pool_tx: &crate::chan::Sender<TcpMsg>,
+    hooks: &ServeHooks,
+) {
+    let writer = Arc::new(Mutex::new(writer));
+    loop {
+        match read_frame(&mut stream) {
+            Ok(frame) => {
+                let scrape = frame_is_stats_scrape(&frame);
+                if !scrape {
+                    (hooks.on_rx)(wire_len(&frame));
+                    (hooks.on_queued)();
+                }
+                let msg = TcpMsg::Rpc(frame, writer.clone(), Instant::now());
+                if scrape || hooks.shed.is_none() {
+                    // Scrapes must observe, not perturb, and the manager
+                    // never sheds: block until the queue drains — TCP
+                    // flow control is the backpressure.
+                    if pool_tx.send(msg).is_err() {
+                        break;
+                    }
+                    continue;
+                }
+                match pool_tx.try_send(msg) {
+                    Ok(()) => {}
+                    Err(TrySendError::Disconnected(_)) => break,
+                    Err(TrySendError::Full(TcpMsg::Rpc(frame, writer, _))) => {
+                        // Load shed: answer `Overloaded` from the reader
+                        // itself instead of parking the frame behind a
+                        // full queue. The request provably never
+                        // executed, so the client may replay it — even a
+                        // write. The connection stays healthy; only this
+                        // request is refused.
+                        let err = hooks.shed.as_ref().expect("checked above")();
+                        let id = decode_frame_id(&frame).unwrap_or(RequestId(0));
+                        let reply = encode_response(id, &Response::Error(err));
+                        (hooks.on_tx)(wire_len(&reply));
+                        let _ = write_frame(&mut *writer.lock().unwrap(), &reply);
+                    }
+                    Err(TrySendError::Full(TcpMsg::Shutdown)) => {
+                        unreachable!("reader only sends Rpc frames")
+                    }
+                }
+            }
+            Err(FrameError::TooLarge(e)) => {
+                // The stream cannot be resynchronized after an oversized
+                // announcement, but the peer deserves to know why it is
+                // being dropped. Id 0: the header was never read.
+                let reply = encode_response(RequestId(0), &Response::Error(e));
+                (hooks.on_tx)(wire_len(&reply));
+                let mut w = writer.lock().unwrap();
+                let _ = write_frame(&mut *w, &reply);
+                let _ = w.shutdown(Shutdown::Both);
+                break;
+            }
+            Err(_) => break, // peer hung up or died mid-frame
+        }
+    }
 }
 
 /// The TCP server side of a whole cluster: one [`TcpServer`] per I/O
@@ -394,6 +417,17 @@ impl TcpCluster {
 
     pub(crate) fn workers_per_server(&self) -> usize {
         self.servers.first().map(|s| s.workers()).unwrap_or(0)
+    }
+
+    /// Connections open on the server side, across every daemon and the
+    /// manager — diagnostics. A connection leaves the count once its
+    /// peer hangs up and its reader has exited.
+    pub fn open_connections(&self) -> usize {
+        self.servers
+            .iter()
+            .chain([&self.mgr])
+            .map(TcpServer::open_connections)
+            .sum()
     }
 
     /// Drain and stop every listener, reader and worker.

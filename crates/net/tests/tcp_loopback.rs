@@ -339,6 +339,92 @@ fn second_rpc_after_server_side_disconnect_succeeds() {
     assert_eq!(server.join().unwrap(), 3);
 }
 
+/// Poll `f` until it returns `want` or five seconds pass; returns the
+/// last value seen.
+fn wait_for(want: usize, f: impl Fn() -> usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let got = f();
+        if got == want || Instant::now() >= deadline {
+            return got;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A connection the client closed is closed on the server side too: its
+/// reader exits and takes the connection out of the daemon's table, so
+/// connect-and-drop churn does not pile up descriptors until shutdown.
+#[test]
+fn server_releases_connections_the_client_closed() {
+    const N: usize = 50;
+    let daemons = vec![Arc::new(IoDaemon::new(ServerId(0), IodConfig::default()))];
+    let tcp = TcpCluster::spawn(&daemons, IodConfig::default());
+    let baseline = tcp.open_connections();
+    let streams: Vec<TcpStream> = (0..N)
+        .map(|_| TcpStream::connect(tcp.server_addrs()[0]).unwrap())
+        .collect();
+    assert_eq!(
+        wait_for(baseline + N, || tcp.open_connections()),
+        baseline + N,
+        "every accepted connection is open"
+    );
+    drop(streams);
+    assert_eq!(
+        wait_for(baseline, || tcp.open_connections()),
+        baseline,
+        "closed connections must not stay open on the server"
+    );
+}
+
+/// Bytes past a reply belong to no RPC. A connection whose read buffer
+/// still holds some after the reply is dropped, not parked, so they can
+/// never be decoded as the next RPC's reply; that RPC dials afresh.
+#[test]
+fn connection_with_bytes_past_the_reply_is_not_parked() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let mut conns = Vec::new();
+        for stray in [&b"stray"[..], &[]] {
+            let (mut conn, _) = listener.accept().unwrap();
+            let msg = pvfs_proto::decode_message(read_frame(&mut conn).unwrap()).unwrap();
+            let resp = pvfs_proto::encode_response(msg.id, &Response::LocalSize { size: 9 });
+            // Reply and stray bytes in one write: they arrive together.
+            let mut wire = (resp.len() as u32).to_le_bytes().to_vec();
+            wire.extend_from_slice(&resp);
+            wire.extend_from_slice(stray);
+            conn.write_all(&wire).unwrap();
+            conns.push(conn);
+        }
+        conns.len()
+    });
+
+    let transport = TcpTransport::new(vec![addr], addr);
+    for i in 1..=2u64 {
+        let frame = encode_message(&Message {
+            client: ClientId(1),
+            id: RequestId(i),
+            request: Request::GetLocalSize {
+                handle: FileHandle(1),
+            },
+        })
+        .unwrap();
+        let reply = transport
+            .start(RpcTarget::Server(ServerId(0)), frame)
+            .unwrap()
+            .wait(Duration::from_secs(5))
+            .unwrap_or_else(|e| panic!("rpc {i} failed: {e:?}"));
+        assert_eq!(
+            decode_response(reply).unwrap(),
+            (RequestId(i), Response::LocalSize { size: 9 })
+        );
+        let parked = if i == 1 { 0 } else { 1 };
+        assert_eq!(transport.idle_connections(), parked, "after rpc {i}");
+    }
+    assert_eq!(server.join().unwrap(), 2, "the second rpc dialed afresh");
+}
+
 /// Full client/daemon data path over real sockets, including a fan-out
 /// round, then a clean (non-hanging) teardown with the in-flight work
 /// drained.

@@ -123,8 +123,9 @@ fn traced_round_assembles_the_full_waterfall_over_tcp() {
 
 /// The observer-effect guarantee extends to `GetTrace`: assembling a
 /// waterfall perturbs no daemon counters, adds no spans to any ring,
-/// advances no client counters, and the same trace renders identically
-/// however many times it is fetched.
+/// advances no client counters or latency samples (nor does a stats
+/// scrape), and the same trace renders identically however many times
+/// it is fetched.
 fn get_trace_scrape_is_invisible(kind: TransportKind) {
     let cluster = LiveCluster::spawn_transport(2, IodConfig::default(), kind);
     let c = cluster.client().with_trace_mode(TraceMode::All);
@@ -151,10 +152,27 @@ fn get_trace_scrape_is_invisible(kind: TransportKind) {
         })
         .collect();
     let client_before = c.stats();
+    let latency_before = c.latency_snapshot().count();
 
     let first = c.fetch_trace(trace).render();
     let second = c.fetch_trace(trace).render();
     assert_eq!(first, second, "[{kind}] fetching a trace changed the trace");
+    assert_eq!(
+        c.latency_snapshot().count(),
+        latency_before,
+        "[{kind}] GetTrace replies reached the client latency tracker"
+    );
+    for target in [RpcTarget::Manager, RpcTarget::Server(ServerId(0))] {
+        assert!(matches!(
+            c.call(target, Request::GetStats),
+            Ok(Response::Stats(_))
+        ));
+    }
+    assert_eq!(
+        c.latency_snapshot().count(),
+        latency_before,
+        "[{kind}] stats scrapes reached the client latency tracker"
+    );
 
     for s in 0..2u32 {
         assert_eq!(
